@@ -9,26 +9,27 @@
 //   $ ./capacity_planning [max_afr_percent] [slo_ms] [--quick]
 //                         [--disks n,n,...]
 //
+// The positionals are taken in order (defaults 20 % and 15 ms) and
+// parsed strictly: a malformed number fails naming its argument.
 // --disks overrides the swept array sizes (paper default 6..16). Values
 // are validated through fleet_disk_count, so >4096-disk configurations
 // are accepted up to the 32-bit DiskId space and anything beyond fails
 // loudly instead of overflowing an int-typed disk index.
+//
+// The sweep is a scenario (exp/scenario.h): one WC98-like day at seed 42,
+// policies × array sizes, run by the scenario engine.
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "core/experiment.h"
-#include "policy/maid_policy.h"
-#include "policy/pdc_policy.h"
-#include "policy/read_policy.h"
-#include "policy/static_policy.h"
+#include "exp/scenario.h"
+#include "exp/scenario_engine.h"
 #include "sim/fleet_sim.h"
+#include "util/parse.h"
 #include "util/table.h"
-#include "workload/synthetic.h"
 
 namespace {
 
@@ -59,56 +60,55 @@ int main(int argc, char** argv) try {
   using namespace pr;
   double max_afr = 0.20;
   double slo_ms = 15.0;
-  bool quick = false;
-  std::vector<std::size_t> disk_counts = {6, 8, 10, 12, 14, 16};
+  int positionals = 0;
+  ScenarioWorkload day;
+  day.name = "day";
+  day.preset = "wc98-light";
+  ScenarioSpec spec;
+  spec.name = "capacity_planning";
+  spec.seeds = {42};
+  spec.disks = {6, 8, 10, 12, 14, 16};
+  spec.epochs = {3600.0};
+  spec.policies = {{"read", "READ", {}},
+                   {"maid", "MAID", {}},
+                   {"pdc", "PDC", {}},
+                   {"static", "Static", {}}};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--disks") == 0 && i + 1 < argc) {
-      disk_counts = parse_disk_list(argv[++i]);
-    } else if (max_afr == 0.20) {
-      max_afr = std::atof(argv[i]) / 100.0;
+      day.files = 1'000;
+      day.requests = 80'000;
+    } else if (std::strcmp(argv[i], "--disks") == 0) {
+      if (i + 1 == argc) throw std::invalid_argument("--disks: missing value");
+      spec.disks = parse_disk_list(argv[++i]);
+    } else if (positionals == 0) {
+      max_afr = parse_double(argv[i], "max_afr_percent") / 100.0;
+      ++positionals;
+    } else if (positionals == 1) {
+      slo_ms = parse_double(argv[i], "slo_ms");
+      ++positionals;
     } else {
-      slo_ms = std::atof(argv[i]);
+      throw std::invalid_argument(std::string("unexpected argument '") +
+                                  argv[i] + "'");
     }
   }
-
-  auto workload_config = worldcup98_light_config(42);
-  if (quick) {
-    workload_config.file_count = 1'000;
-    workload_config.request_count = 80'000;
-  }
-  const auto workload = generate_workload(workload_config);
-
-  SweepConfig sweep;
-  sweep.base.sim.epoch = Seconds{3600.0};
-  sweep.disk_counts = disk_counts;
-
-  const std::vector<std::pair<std::string, PolicyFactory>> policies = {
-      {"READ", [] { return std::make_unique<ReadPolicy>(); }},
-      {"MAID", [] { return std::make_unique<MaidPolicy>(); }},
-      {"PDC", [] { return std::make_unique<PdcPolicy>(); }},
-      {"Static", [] { return std::make_unique<StaticPolicy>(); }},
-  };
-  const std::vector<NamedWorkload> workloads = {
-      {"day", &workload.files, &workload.trace}};
+  spec.workloads = {day};
 
   std::cout << "requirements: array AFR <= " << pct(max_afr, 1)
             << ", mean response time <= " << slo_ms << " ms\n"
-            << "sweeping " << policies.size() * sweep.disk_counts.size()
+            << "sweeping " << spec.policies.size() * spec.disks.size()
             << " configurations...\n\n";
-  const auto cells = run_sweep(sweep, policies, workloads);
+  const ScenarioResult result = run_scenario(spec);
 
   AsciiTable table("Configuration sweep (one WC98-like day)");
   table.set_header({"policy", "disks", "AFR", "mean RT (ms)", "energy (kJ)",
                     "feasible"});
-  std::optional<SweepCell> best;
-  for (const auto& cell : cells) {
+  const ScenarioCell* best = nullptr;
+  for (const ScenarioCell& cell : result.cells) {
     const bool afr_ok = cell.report.array_afr <= max_afr;
     const bool rt_ok =
         cell.report.sim.mean_response_time_s() * 1e3 <= slo_ms;
     const bool feasible = afr_ok && rt_ok;
-    table.add_row({cell.policy, std::to_string(cell.disk_count),
+    table.add_row({cell.policy, std::to_string(cell.disks),
                    pct(cell.report.array_afr, 2),
                    num(cell.report.sim.mean_response_time_s() * 1e3, 2),
                    num(cell.report.sim.energy_joules() / 1e3, 1),
@@ -119,14 +119,14 @@ int main(int argc, char** argv) try {
     if (feasible &&
         (!best || cell.report.sim.energy_joules() <
                       best->report.sim.energy_joules())) {
-      best = cell;
+      best = &cell;
     }
   }
   table.print(std::cout);
 
   if (best) {
     std::cout << "\nrecommendation: " << best->policy << " on "
-              << best->disk_count << " disks — "
+              << best->disks << " disks — "
               << num(best->report.sim.energy_joules() / 1e3, 1) << " kJ/day, AFR "
               << pct(best->report.array_afr, 2) << ", mean RT "
               << num(best->report.sim.mean_response_time_s() * 1e3, 2)

@@ -1,64 +1,8 @@
 #include "core/experiment.h"
 
 #include <cmath>
-#include <stdexcept>
-
-#include "core/session.h"
-#include "util/thread_pool.h"
 
 namespace pr {
-
-std::vector<SweepCell> run_sweep(
-    const SweepConfig& config,
-    const std::vector<std::pair<std::string, PolicyFactory>>& policies,
-    const std::vector<NamedWorkload>& workloads) {
-  if (policies.empty() || workloads.empty() || config.disk_counts.empty()) {
-    throw std::invalid_argument("run_sweep: empty axis");
-  }
-  for (const auto& w : workloads) {
-    if (w.files == nullptr || w.trace == nullptr) {
-      throw std::invalid_argument("run_sweep: workload '" + w.name +
-                                  "' missing files/trace");
-    }
-  }
-
-  struct CellSpec {
-    std::size_t policy_idx;
-    std::size_t workload_idx;
-    std::size_t disk_count;
-  };
-  std::vector<CellSpec> specs;
-  for (std::size_t p = 0; p < policies.size(); ++p) {
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-      for (std::size_t n : config.disk_counts) {
-        specs.push_back({p, w, n});
-      }
-    }
-  }
-
-  std::vector<SweepCell> cells(specs.size());
-  ThreadPool pool(config.threads);
-  pool.parallel_for(specs.size(), [&](std::size_t i) {
-    const CellSpec& spec = specs[i];
-    const auto& [policy_name, factory] = policies[spec.policy_idx];
-    const NamedWorkload& workload = workloads[spec.workload_idx];
-
-    SystemConfig cell_config = config.base;
-    cell_config.sim.disk_count = spec.disk_count;
-
-    auto policy = factory();
-    SweepCell cell;
-    cell.policy = policy_name;
-    cell.workload = workload.name;
-    cell.disk_count = spec.disk_count;
-    cell.report = SimulationSession(cell_config)
-                      .with_workload(*workload.files, *workload.trace)
-                      .with_policy(*policy)
-                      .run();
-    cells[i] = std::move(cell);
-  });
-  return cells;
-}
 
 double improvement(double ours, double baseline) {
   // Degenerate inputs (zero baseline, NaN/inf from an empty or failed

@@ -1,49 +1,18 @@
-// experiment.h — the sweep harness behind every Fig. 7-style evaluation:
-// a grid of (policy × array size × workload) cells fanned across a thread
-// pool. Each cell builds its own policy instance and runs an independent,
-// deterministic simulation.
+// experiment.h — small shared vocabulary for Fig. 7-style evaluations:
+// the policy factory every sweep cell calls for a fresh policy, and the
+// relative-improvement metric the figures report. Grids of cells run
+// through the scenario engine (exp/scenario_engine.h).
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/system.h"
-#include "workload/synthetic.h"
 
 namespace pr {
 
 /// Factory so each sweep cell gets a fresh policy (policies are stateful).
 using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
-
-struct NamedWorkload {
-  std::string name;          // e.g. "light", "heavy"
-  const FileSet* files = nullptr;
-  const Trace* trace = nullptr;
-};
-
-struct SweepCell {
-  std::string policy;
-  std::string workload;
-  std::size_t disk_count = 0;
-  SystemReport report;
-};
-
-struct SweepConfig {
-  SystemConfig base;
-  std::vector<std::size_t> disk_counts;  // paper: 6..16
-  /// Worker threads (0 = hardware concurrency).
-  unsigned threads = 0;
-};
-
-/// Run |policies| × |workloads| × |disk_counts| cells. Results are ordered
-/// (policy-major, then workload, then disk count) regardless of the
-/// parallel execution order.
-[[nodiscard]] std::vector<SweepCell> run_sweep(
-    const SweepConfig& config,
-    const std::vector<std::pair<std::string, PolicyFactory>>& policies,
-    const std::vector<NamedWorkload>& workloads);
 
 /// Relative improvement of `ours` over `baseline` for a lower-is-better
 /// metric: (baseline − ours) / baseline. Positive = we are better.

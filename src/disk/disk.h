@@ -83,8 +83,8 @@ class Disk {
   /// Close the ledger at simulation end (accounts trailing idle time).
   void finish(Seconds end);
 
-  /// Monotonically increasing count of serve() calls — used by DPM events
-  /// to detect "a request arrived since this idle-check was scheduled".
+  /// Monotonically increasing count of serve() calls; nonzero means the
+  /// simulation has started (the configure-before-start setters check it).
   [[nodiscard]] std::uint64_t activity_generation() const {
     return soa_->activity_generation[slot_];
   }

@@ -1,7 +1,6 @@
 // scenario_engine.h — expands a ScenarioSpec into concrete cells
 // (policy × workload × load × seed × epoch × disks × fault rate scale)
-// and fans them across the thread pool. This generalizes core/experiment.h's run_sweep (fixed
-// policy × workload × disks grid) into arbitrary declarative axes: each
+// and fans them across the thread pool. It is the one sweep driver: each
 // (workload, load, seed) variant is generated once and shared by every
 // policy/epoch/disk cell, and results come back in *spec order* —
 // policy-major, then workload, load, seed, epoch, disks — regardless of

@@ -17,8 +17,7 @@ ArrayContext::ArrayContext(const SimConfig& config, const FileSet& files)
   if (config.disk_count == 0) {
     throw std::invalid_argument("ArrayContext: disk_count == 0");
   }
-  use_timer_ = config.idle_scheduler == IdleScheduler::kTimerHeap;
-  if (use_timer_) idle_timer_.resize(config.disk_count);
+  idle_timer_.resize(config.disk_count);
   h_policy_transitions_ = counters_.intern("sim.policy_transitions");
   soa_ = std::make_unique<DiskArraySoA>(config.disk_count);
   disks_.reserve(config.disk_count);
@@ -166,18 +165,10 @@ void ArrayContext::schedule_idle_check(DiskId d, Seconds completion) {
   if (!dpm_[d].spin_down_when_idle) return;
   const Seconds deadline = completion + dpm_[d].idleness_threshold;
   if (deadline < wake_hint_) wake_hint_ = deadline;
-  if (use_timer_) {
-    idle_timer_.arm(d, deadline, idle_seq_++);
-  } else {
-    idle_events_.push(deadline, IdleCheck{d, disks_[d].activity_generation()});
-  }
+  idle_timer_.arm(d, deadline, idle_seq_++);
 }
 
-void ArrayContext::cancel_idle_check(DiskId d) {
-  if (use_timer_) idle_timer_.disarm(d);
-  // Queue mode needs nothing: the serve that preceded every cancellation
-  // bumped the disk's activity generation, so the pending event is stale.
-}
+void ArrayContext::cancel_idle_check(DiskId d) { idle_timer_.disarm(d); }
 
 /// Unit of request pull from the source (see RequestSource::next_batch).
 /// Large enough to amortize the virtual dispatch, small enough that a
@@ -487,8 +478,8 @@ class ArraySimulator {
         obs->on_request_complete(pending_);
       }
 
-      // after_serve may add background I/O (MAID cache fills); the idle
-      // checks are armed afterwards so they see the final generation and
+      // after_serve may add background I/O (MAID cache fills) that
+      // disarms its disks; the idle checks are armed afterwards, against
       // the disks' true ready times.
       policy_.after_serve(ctx_, req, primary);
       for (const DiskId d : touched_) {
@@ -768,12 +759,8 @@ class ArraySimulator {
   /// drain; schedule_idle_check lowers the hint incrementally in between.
   void recompute_wake_hint() {
     Seconds hint = next_epoch_;
-    if (ctx_.use_timer_) {
-      if (!ctx_.idle_timer_.empty()) {
-        hint = std::min(hint, ctx_.idle_timer_.next_time());
-      }
-    } else if (!ctx_.idle_events_.empty()) {
-      hint = std::min(hint, ctx_.idle_events_.next_time());
+    if (!ctx_.idle_timer_.empty()) {
+      hint = std::min(hint, ctx_.idle_timer_.next_time());
     }
     if (ctx_.faults_on_) {
       const auto& events = faults_->events();
@@ -833,43 +820,20 @@ class ArraySimulator {
     }
   }
 
-  /// Process deferred events with time <= t (and epoch boundaries that
-  /// precede them), in order. Two backends behind one drain interface:
-  /// the per-disk timer heap (default; every popped deadline is live) and
-  /// the event-queue fallback (pops are filtered by generation staleness).
-  /// Stale queue events have no side effects beyond churn counters —
-  /// fire_epochs_until is monotone in the popped time — so both backends
-  /// interleave epochs, spin-downs and observer emissions identically.
+  /// Process idle deadlines with time <= t (or < t when not inclusive),
+  /// and the epoch boundaries that precede them, in order. Every popped
+  /// deadline is live: serving a disk re-arms its slot in place and
+  /// background I/O disarms it.
   void drain_until(Seconds t, bool inclusive = true) {
-    const auto due = [t, inclusive](Seconds next) {
-      return inclusive ? next <= t : next < t;
-    };
-    if (ctx_.use_timer_) {
-      auto& timer = ctx_.idle_timer_;
-      while (!timer.empty() && due(timer.next_time())) {
-        const auto deadline = timer.pop();
-        PR_INVARIANT(!(deadline.time < ctx_.now_),
-                     "drain_until: idle deadline fired in the past");
-        fire_epochs_until(deadline.time);
-        ctx_.now_ = deadline.time;
-        handle_idle_check(deadline.time, deadline.disk);
-      }
-    } else {
-      while (!ctx_.idle_events_.empty() &&
-             due(ctx_.idle_events_.next_time())) {
-        const auto event = ctx_.idle_events_.pop();
-        PR_INVARIANT(!(event.time < ctx_.now_),
-                     "drain_until: idle event fired in the past");
-        fire_epochs_until(event.time);
-        ctx_.now_ = event.time;
-        ctx_.counters_.add(h_idle_checks_);
-        if (ctx_.disks_[event.payload.disk].activity_generation() !=
-            event.payload.generation) {
-          ctx_.counters_.add(h_idle_stale_);
-          continue;  // invalidated by a later service
-        }
-        handle_idle_check(event.time, event.payload.disk);
-      }
+    auto& timer = ctx_.idle_timer_;
+    while (!timer.empty() && (inclusive ? timer.next_time() <= t
+                                        : timer.next_time() < t)) {
+      const auto deadline = timer.pop();
+      PR_INVARIANT(!(deadline.time < ctx_.now_),
+                   "drain_until: idle deadline fired in the past");
+      fire_epochs_until(deadline.time);
+      ctx_.now_ = deadline.time;
+      handle_idle_check(deadline.time, deadline.disk);
     }
   }
 
@@ -877,7 +841,7 @@ class ArraySimulator {
   /// has genuinely been idle past its (current) threshold.
   void handle_idle_check(Seconds at, DiskId d) {
     Disk& disk = ctx_.disks_[d];
-    if (ctx_.use_timer_) ctx_.counters_.add(h_idle_checks_);
+    ctx_.counters_.add(h_idle_checks_);
     if (!ctx_.dpm_[d].spin_down_when_idle) return;
     if (disk.speed() != DiskSpeed::kHigh) return;
     // The threshold may have grown since this check was scheduled (READ's
@@ -891,13 +855,7 @@ class ArraySimulator {
     const Seconds deadline = idle_since + ctx_.dpm_[d].idleness_threshold;
     if (deadline > at) {
       ctx_.counters_.add(h_idle_deferred_);
-      if (ctx_.use_timer_) {
-        ctx_.idle_timer_.arm(d, deadline, ctx_.idle_seq_++);
-      } else {
-        ctx_.idle_events_.push(
-            deadline,
-            ArrayContext::IdleCheck{d, ctx_.disks_[d].activity_generation()});
-      }
+      ctx_.idle_timer_.arm(d, deadline, ctx_.idle_seq_++);
       return;
     }
     if (!policy_.allow_spin_down(ctx_, d, at)) {
@@ -1148,6 +1106,8 @@ class ArraySimulator {
   // Interned core-counter handles (hot-path bumps are one vector add).
   CounterRegistry::Handle h_epochs_;
   CounterRegistry::Handle h_idle_checks_;
+  /// Never bumped: the timer heap pops no stale deadline. Interned only so
+  /// reports keep sim.idle_checks_stale = 0 and their bytes stay stable.
   CounterRegistry::Handle h_idle_stale_;
   CounterRegistry::Handle h_idle_deferred_;
   CounterRegistry::Handle h_spin_downs_;

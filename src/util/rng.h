@@ -1,7 +1,7 @@
 // rng.h — deterministic, fast pseudo-random number generation.
 //
 // The whole reproduction is required to be bit-deterministic for a given
-// seed (DESIGN.md §4.6): the event queue tie-breaks deterministically and
+// seed (DESIGN.md §4.6): idle deadlines tie-break deterministically and
 // every stochastic choice flows through this generator. We implement
 // xoshiro256** (Blackman & Vigna) seeded via SplitMix64 rather than relying
 // on std::mt19937 so that the stream is identical across standard libraries.

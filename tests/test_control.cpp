@@ -2,7 +2,7 @@
 // deterministic controllers and their anti-oscillation machinery, the
 // online Zipf estimator, the simulator's actuation seam (admission
 // shedding, threshold/hot-zone/epoch-length knobs), the control-disabled
-// byte-identity contract, scheduler/thread determinism with control on,
+// byte-identity contract, run-to-run/thread determinism with control on,
 // the [control] scenario section, and the OnlineReadPolicy promotion-bar
 // regression (ceiling-decayed bar across a decay boundary).
 #include "control/control_loop.h"
@@ -20,6 +20,7 @@
 #include "exp/scenario.h"
 #include "exp/scenario_engine.h"
 #include "exp/scenario_report.h"
+#include "golden_hash.h"
 #include "obs/jsonl_writer.h"
 #include "policy/online_read_policy.h"
 #include "policy/read_policy.h"
@@ -318,36 +319,30 @@ TEST(ControlSimTest, CountersInternOnlyWhenEnabled) {
 
 // ------------------------------------------------ determinism contract
 
-TEST(ControlSimTest, DeterministicAcrossIdleSchedulers) {
+TEST(ControlSimTest, ControlledRunMatchesCommittedHashes) {
   const auto workload = generate_workload(small_workload_config());
-  std::string timer_events;
-  std::string timer_json;
-  std::map<std::string, std::uint64_t> timer_counters;
-  for (const IdleScheduler scheduler :
-       {IdleScheduler::kTimerHeap, IdleScheduler::kEventQueue}) {
+  const auto run_once = [&]() {
     SystemConfig config = control_system_config();
-    config.sim.idle_scheduler = scheduler;
     config.sim.control = armed_config();
     config.sim.control.target_rt_ms = 20.0;
     config.sim.control.admit_window_s = 2.0;
-    const SessionRun run = run_session(config, "online-read", workload);
-
-    // Across schedulers only the sim.idle_checks* churn family may
-    // differ (the same allowance test_scheduler_golden pins); every
-    // control decision, event and counter must be identical.
-    std::map<std::string, std::uint64_t> comparable;
-    for (const auto& [name, value] : run.report.sim.counters) {
-      if (name.rfind("sim.idle_checks", 0) == 0) continue;
-      comparable.emplace(name, value);
-    }
-    if (scheduler == IdleScheduler::kTimerHeap) {
-      timer_events = run.events;
-      timer_counters = comparable;
-    } else {
-      EXPECT_EQ(run.events, timer_events);
-      EXPECT_EQ(comparable, timer_counters);
-    }
-  }
+    return run_session(config, "online-read", workload);
+  };
+  const SessionRun first = run_once();
+  const SessionRun second = run_once();
+  EXPECT_GT(counter(first.report.sim, "control.updates"), 0u);
+  EXPECT_EQ(first.events, second.events);
+  EXPECT_EQ(first.report.sim.counters, second.report.sim.counters);
+#if PR_GOLDEN_HASHES
+  // The counter hash leaves out the sim.idle_checks* family, the one part
+  // the retired event-queue scheduler did not reproduce.
+  EXPECT_EQ(golden::fnv1a(first.events), 6417341942428816855ULL)
+      << "JSONL stream hash drifted";
+  EXPECT_EQ(golden::fnv1a(golden::dump_counters(first.report.sim.counters,
+                                                "sim.idle_checks")),
+            1024588500601003999ULL)
+      << "counter hash drifted";
+#endif
 }
 
 // --------------------------------------------------- admission window

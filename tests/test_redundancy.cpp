@@ -4,8 +4,8 @@
 // rebuild engine wakes disks and recovers them through the fault
 // machinery), the MTTDL loop closure, the [redundancy] scenario section,
 // and the determinism contracts — fault-free runs with a parity config
-// are byte-identical to redundancy=none, faulted parity runs are
-// byte-identical across idle schedulers, and fleet cells are
+// are byte-identical to redundancy=none, faulted parity runs repeat byte
+// for byte and match their committed hashes, and fleet cells are
 // byte-identical for threads = 1 vs N.
 #include "redundancy/scheme.h"
 
@@ -23,6 +23,7 @@
 #include "exp/scenario_report.h"
 #include "fault/degradation_analyzer.h"
 #include "fault/fault_plan.h"
+#include "golden_hash.h"
 #include "obs/jsonl_writer.h"
 #include "press/mttdl_agreement.h"
 #include "redundancy/rebuild.h"
@@ -456,7 +457,7 @@ TEST(RedundancySim, FaultFreeParityConfigIsByteIdenticalToNone) {
   EXPECT_DOUBLE_EQ(none.energy_joules(), raid.energy_joules());
 }
 
-TEST(RedundancySim, FaultedParityRunsByteIdenticalAcrossSchedulers) {
+TEST(RedundancySim, FaultedParityRunsMatchCommittedHashes) {
   auto wc = worldcup98_light_config(5);
   wc.file_count = 100;
   wc.request_count = 2'500;
@@ -470,12 +471,10 @@ TEST(RedundancySim, FaultedParityRunsByteIdenticalAcrossSchedulers) {
   const FaultPlan plan = FaultPlan::from_hazard(hazard, 4);
   ASSERT_FALSE(plan.empty());
 
-  const auto run_once = [&](IdleScheduler scheduler,
-                            RedundancyKind kind) {
+  const auto run_once = [&](RedundancyKind kind) {
     SystemConfig cfg;
     cfg.sim.disk_count = 4;
     cfg.sim.epoch = Seconds{600.0};
-    cfg.sim.idle_scheduler = scheduler;
     cfg.sim.redundancy.kind = kind;
     cfg.sim.redundancy.rebuild_mbps = 4.0;
     std::ostringstream out;
@@ -489,14 +488,24 @@ TEST(RedundancySim, FaultedParityRunsByteIdenticalAcrossSchedulers) {
     return out.str();
   };
 
-  for (const RedundancyKind kind :
-       {RedundancyKind::kRaid5, RedundancyKind::kDeclustered}) {
-    const std::string heap = run_once(IdleScheduler::kTimerHeap, kind);
-    const std::string queue = run_once(IdleScheduler::kEventQueue, kind);
-    EXPECT_FALSE(heap.empty());
-    EXPECT_NE(heap.find("\"ev\":\"stripe_reconstruct\""), std::string::npos);
-    EXPECT_NE(heap.find("\"ev\":\"rebuild_start\""), std::string::npos);
-    EXPECT_EQ(heap, queue);
+  // With group 0 (the whole 4-disk array) both schemes reconstruct from
+  // the same three survivors, so their streams coincide.
+  struct Golden {
+    RedundancyKind kind;
+    std::uint64_t jsonl;
+  };
+  for (const Golden g :
+       {Golden{RedundancyKind::kRaid5, 3523639052837243952ULL},
+        Golden{RedundancyKind::kDeclustered, 3523639052837243952ULL}}) {
+    const std::string first = run_once(g.kind);
+    EXPECT_FALSE(first.empty());
+    EXPECT_NE(first.find("\"ev\":\"stripe_reconstruct\""),
+              std::string::npos);
+    EXPECT_NE(first.find("\"ev\":\"rebuild_start\""), std::string::npos);
+    EXPECT_EQ(first, run_once(g.kind));
+#if PR_GOLDEN_HASHES
+    EXPECT_EQ(golden::fnv1a(first), g.jsonl) << "JSONL stream hash drifted";
+#endif
   }
 }
 
