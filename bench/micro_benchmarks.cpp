@@ -1,13 +1,19 @@
 // micro_benchmarks — google-benchmark microbenchmarks for the hot paths:
-// idle-timer re-arm, Zipf sampling, disk service, PRESS evaluation, and
-// end-to-end simulation throughput. These guard against performance
-// regressions that would make the Fig. 7 grid impractical.
+// idle-timer re-arm, Zipf sampling, disk service, PRESS evaluation,
+// end-to-end simulation throughput, and JSONL number formatting. These
+// guard against performance regressions that would make the Fig. 7 grid
+// impractical.
 #include <benchmark/benchmark.h>
 
+#include <charconv>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
 #include "core/system.h"
 #include "obs/counter_registry.h"
+#include "obs/jsonl_writer.h"
 #include "obs/time_series.h"
 #include "policy/online_read_policy.h"
 #include "policy/read_policy.h"
@@ -16,6 +22,7 @@
 #include "sim/idle_timer.h"
 #include "trace/csv_trace.h"
 #include "trace/stream_reader.h"
+#include "util/fmt.h"
 #include "workload/synthetic.h"
 #include "workload/zipf.h"
 
@@ -242,6 +249,100 @@ void BM_CounterRegistryAddByName(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CounterRegistryAddByName);
+
+/// What a trace's doubles look like: arrival times up to a day, sub-second
+/// service and response times, joule-scale energies, some exact integers
+/// and zeros — fixed by seed, built at run time.
+std::vector<double> mixed_magnitudes() {
+  Rng rng(13);
+  std::vector<double> values(4'096);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    switch (i % 8) {
+      case 0: values[i] = rng.uniform(0.0, 86'400.0); break;
+      case 1: values[i] = rng.uniform(1e-4, 0.05); break;
+      case 2: values[i] = rng.uniform(0.0, 2.0); break;
+      case 3: values[i] = rng.uniform(1.0, 500.0); break;
+      case 4: values[i] = static_cast<double>(rng() >> 40); break;
+      case 5: values[i] = 0.0; break;
+      case 6: values[i] = rng.uniform(1e5, 1e9); break;
+      default: values[i] = rng.uniform(1e-6, 1e-3); break;
+    }
+  }
+  return values;
+}
+
+// `%.17g` text per double: Arg(0) is append_double (the exact 128-bit path
+// with its to_chars fallback), Arg(1) the plain std::to_chars reference
+// it must match byte for byte (tests/test_fmt.cpp).
+void BM_FormatDouble17(benchmark::State& state) {
+  const auto values = mixed_magnitudes();
+  const bool reference = state.range(0) == 1;
+  state.SetLabel(reference ? "to_chars" : "append_double");
+  std::string out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    const double v = values[i++ % values.size()];
+    if (reference) {
+      char buf[64];
+      const auto res = std::to_chars(buf, buf + sizeof buf, v,
+                                     std::chars_format::general, 17);
+      out.append(buf, res.ptr);
+    } else {
+      append_double(out, v, 17);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FormatDouble17)->Arg(0)->Arg(1);
+
+/// Counts and drops bytes: the writer's cost without a real sink.
+class NullBuf final : public std::streambuf {
+ public:
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    ++bytes_;
+    return traits_type::not_eof(ch);
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+// One JSONL request line (7 doubles, 4 integers) from event to stream.
+void BM_JsonlRequestLine(benchmark::State& state) {
+  const auto values = mixed_magnitudes();
+  NullBuf sink;
+  std::ostream out(&sink);
+  JsonlTraceWriter writer(out);
+  RequestCompleteEvent event;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t at = i++;
+    event.arrival = Seconds{values[at % values.size()]};
+    event.completion =
+        event.arrival + Seconds{values[(at + 1) % values.size()]};
+    event.file = static_cast<FileId>(at % 4'079);
+    event.disk = static_cast<DiskId>(at % 8);
+    event.bytes = 4'096 + (at % 65'536);
+    event.backlog = Seconds{values[(at + 2) % values.size()]};
+    event.service_time = Seconds{values[(at + 3) % values.size()]};
+    event.energy = Joules{values[(at + 4) % values.size()]};
+    writer.on_request_complete(event);
+  }
+  benchmark::DoNotOptimize(sink.bytes());
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(static_cast<std::int64_t>(sink.bytes()));
+}
+BENCHMARK(BM_JsonlRequestLine);
 
 }  // namespace
 

@@ -3,7 +3,10 @@
 // simulator's event order is deterministic, two same-seed runs produce
 // byte-identical output (numbers are printed at full precision with a
 // fixed format; no wall-clock or locale state leaks in) — verified by
-// tests/test_observer.cpp.
+// tests/test_observer.cpp. Each line is built in a reused string and
+// written with one unformatted ostream::write, so the stream's buffer is
+// the only batching layer and a line is in the stream when its hook
+// returns.
 #pragma once
 
 #include <cstdint>
@@ -67,17 +70,25 @@ class JsonlTraceWriter final : public SimObserver {
   void on_control_update(const ControlUpdateEvent& event) override;
   void on_run_end(const RunEndEvent& event) override;
 
+  /// Lines handed to the stream. A stream that failed does not lose them
+  /// silently: on_run_end throws once it has flushed.
   [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
 
  private:
-  std::ostream& line();
-  /// Pin the classic "C" locale so host-installed global locales cannot
-  /// add grouping separators to the integer fields.
-  void imbue_classic();
+  /// Append every part to the line buffer (doubles at precision 17,
+  /// integers in decimal, anything else as text), then hand the line to
+  /// the stream in one write and count it. Defined in jsonl_writer.cpp,
+  /// its only user.
+  template <typename... Parts>
+  void write_line(const Parts&... parts);
 
   std::ofstream owned_;
   std::ostream* out_;
   JsonlOptions options_;
+  /// One reused buffer: no per-line allocation once it reached the
+  /// longest line's size. Numbers go through util/fmt.h, so the caller's
+  /// stream locale is never consulted (nor changed).
+  std::string line_;
   std::uint64_t lines_ = 0;
 };
 

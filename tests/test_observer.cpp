@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <locale>
+#include <ostream>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -449,6 +453,86 @@ TEST(JsonlTraceWriter, EventFilterSuppressesRequestLines) {
 TEST(JsonlTraceWriter, ThrowsOnUnopenablePath) {
   EXPECT_THROW(JsonlTraceWriter("/nonexistent-dir/trace.jsonl"),
                std::runtime_error);
+}
+
+/// A sink that refuses every byte, like a full disk or a closed pipe.
+class FailingBuf final : public std::streambuf {
+ protected:
+  int_type overflow(int_type) override { return traits_type::eof(); }
+  std::streamsize xsputn(const char*, std::streamsize) override { return 0; }
+};
+
+TEST(JsonlTraceWriter, ThrowsWhenTheStreamFails) {
+  // Every other file writer throws "... write failed"; the JSONL writer
+  // must not report lines it silently dropped.
+  ProbePolicy policy{DpmConfig{}};
+  const auto files = two_files();
+  const auto trace = trace_of({{0.0, 0}, {1.0, 1}});
+  FailingBuf sink;
+  std::ostream out(&sink);
+  JsonlTraceWriter writer(out);
+  try {
+    (void)run_simulation(config(2), files, trace, policy, &writer);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    // run_start + 2 requests + run_end were handed to the stream.
+    EXPECT_STREQ(e.what(), "JsonlTraceWriter: write failed after 4 lines");
+  }
+}
+
+/// A German-style numpunct: 1234567.5 prints as "1.234.567,5".
+class GroupingPunct final : public std::numpunct<char> {
+ protected:
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+/// Installs a global locale for one scope and restores the previous one.
+class GlobalLocaleGuard {
+ public:
+  explicit GlobalLocaleGuard(const std::locale& loc)
+      : previous_(std::locale::global(loc)) {}
+  ~GlobalLocaleGuard() { std::locale::global(previous_); }
+  GlobalLocaleGuard(const GlobalLocaleGuard&) = delete;
+  GlobalLocaleGuard& operator=(const GlobalLocaleGuard&) = delete;
+
+ private:
+  std::locale previous_;
+};
+
+TEST(JsonlTraceWriter, BytesIgnoreAndKeepTheCallersLocale) {
+  ProbePolicy policy{DpmConfig{}};
+  const auto files = two_files();
+  const auto trace = trace_of({{0.0, 0}, {1234.5, 1}});
+
+  std::ostringstream classic_out;
+  {
+    JsonlTraceWriter writer(classic_out);
+    (void)run_simulation(config(2), files, trace, policy, &writer);
+  }
+
+  GlobalLocaleGuard guard(std::locale(std::locale::classic(),
+                                      new GroupingPunct));
+  std::ostringstream grouped_out;  // picks up the global locale
+  {
+    std::ostringstream probe;
+    probe << 1048576 << ' ' << 0.5;
+    ASSERT_EQ(probe.str(), "1.048.576 0,5");  // the locale is in force
+  }
+  const std::locale before = grouped_out.getloc();
+  {
+    JsonlTraceWriter writer(grouped_out);
+    EXPECT_TRUE(grouped_out.getloc() == before);
+    (void)run_simulation(config(2), files, trace, policy, &writer);
+  }
+  EXPECT_TRUE(grouped_out.getloc() == before);
+  EXPECT_EQ(std::use_facet<std::numpunct<char>>(grouped_out.getloc())
+                .thousands_sep(),
+            '.');
+
+  EXPECT_NE(classic_out.str().find(R"("bytes":1048576)"), std::string::npos);
+  EXPECT_EQ(grouped_out.str(), classic_out.str());
 }
 
 // --------------------------------------------------------------- ObserverList
