@@ -1,11 +1,8 @@
 // fleet_throughput — google-benchmark for the sharded fleet simulator
-// (sim/fleet_sim). The headline point is the ISSUE target: a 10,000-disk
-// fleet serving a 100,000,000-request day, which must complete in
-// single-digit seconds on one core. Workloads are materialized ONCE
-// outside the timing loop (materialize_fleet_workload): at fleet scale
-// synthetic generation costs more than simulation, and the replay path is
-// byte-identical to the streamed one (test_fleet pins this), so the timed
-// region is pure simulator.
+// (sim/fleet_sim). The headline point is a 10,000-disk fleet serving a
+// 100,000,000-request day. Each iteration times the whole fleet day as
+// run_fleet() runs it: every shard synthesizes its requests on pull
+// inside its worker, so generation is inside the timed region.
 //
 // PR_BENCH_QUICK=1 (the CI quick-bench loop) drops the expensive points
 // and keeps only an 80-disk / 100k-request smoke, so this binary stays
@@ -43,10 +40,9 @@ FleetConfig fleet_config(std::uint32_t shards, std::uint32_t disks_per_shard,
 void run_point(benchmark::State& state, std::uint32_t shards,
                std::uint32_t disks_per_shard, std::uint64_t requests) {
   const FleetConfig config = fleet_config(shards, disks_per_shard, requests);
-  const FleetWorkload workload = materialize_fleet_workload(config);
   std::uint64_t served = 0;
   for (auto _ : state) {
-    FleetResult result = run_fleet(config, workload);
+    FleetResult result = run_fleet(config);
     served = result.merged.user_requests;
     benchmark::DoNotOptimize(result);
   }

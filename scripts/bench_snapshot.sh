@@ -39,9 +39,9 @@ PR_RESULTS_DIR="$TMP" "$BUILD_DIR/bench/obs_overhead" | tee "$TMP/obs_overhead.t
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json >"$TMP/micro.json"
 
-# The fleet family materializes its workloads once per point and replays
-# them, so the timed region is pure simulator; the 100M-request point runs
-# a single iteration (~6 s simulated fleet day).
+# The fleet family times the streamed fleet day: each shard generates its
+# requests on pull inside its worker, so generation is in the timed
+# region; the 100M-request point runs a single iteration.
 "$BUILD_DIR/bench/fleet_throughput" \
   --benchmark_min_time="$MIN_TIME" \
   --benchmark_format=json >"$TMP/fleet.json"

@@ -91,7 +91,11 @@ struct RequestCompleteEvent {
   Seconds arrival{};
   Seconds completion{};
   FileId file = kInvalidFile;
-  /// Primary serving disk (first chunk's disk for striped requests).
+  /// Primary disk: the first chunk's disk (the routed disk for a
+  /// whole-file request). When that chunk's disk has failed and the
+  /// redundancy seam redirected it, the redirect target; a reconstructed
+  /// first chunk keeps the failed disk. The same disk is passed to
+  /// Policy::after_serve.
   DiskId disk = 0;
   Bytes bytes = 0;
   /// Seconds of already-queued work at the serving disk(s) on arrival —
@@ -103,7 +107,9 @@ struct RequestCompleteEvent {
   /// energy lazily accounted since each disk's previous activity, so the
   /// sum over all events plus the final-idle tail equals total energy.
   Joules energy{};
-  /// Number of per-disk chunks (1 unless the policy stripes).
+  /// Number of per-disk serves: the stripe chunks, with a reconstructed
+  /// chunk counted as its surviving-unit reads (1 for a whole-file
+  /// request served by one disk).
   std::uint32_t stripe_chunks = 1;
 
   [[nodiscard]] Seconds response_time() const { return completion - arrival; }

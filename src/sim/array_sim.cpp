@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <stdexcept>
 
 #include "control/control_loop.h"
@@ -308,145 +309,63 @@ class ArraySimulator {
       request_slowed_ = false;
       request_slowdown_ = 1.0;
 
-      Seconds completion{0.0};
-      DiskId primary = kInvalidDisk;
-      std::uint32_t chunk_count = 1;
-      bool lost = false;
-      bool reconstructed = false;
+      // One request path. A whole-file request is a one-chunk plan on the
+      // routed disk; a striped policy's stripe() result is the many-chunk
+      // form. Both pass the same disk check, admission, degraded planner
+      // and serve loop, and complete when the slowest chunk finishes.
+      std::vector<StripeChunk> striped;
+      StripeChunk whole;
+      std::span<const StripeChunk> chunks;
       if (policy_.striped()) {
-        const auto chunks = policy_.stripe(ctx_, req);
-        if (chunks.empty()) {
+        striped = policy_.stripe(ctx_, req);
+        if (striped.empty()) {
           throw std::logic_error("striped policy produced no chunks");
         }
-        primary = chunks.front().disk;
-        // Admission precedes fault handling: a shed request consumes no
-        // degraded-read planning and no service. The primary chunk's disk
-        // stands in for the stripe's backlog.
-        if (control_on_ && !admit(req, primary)) continue;
-        if (ctx_.faults_on_) {
-          // A striped request needs every chunk; each failed chunk disk
-          // consults the redundancy seam. Without a scheme (or with
-          // RAID-0) any failure loses the whole request, exactly as
-          // before; parity replaces the failed chunk with costed reads on
-          // its surviving stripe units. The plan is built first and only
-          // booked (counters, events, serves) if every chunk survives.
-          plan_serves_.clear();
-          planned_degrades_.clear();
-          for (const auto& chunk : chunks) {
-            if (!ctx_.fault_.failed(chunk.disk)) {
-              plan_serves_.push_back(chunk);
-              continue;
-            }
-            scratch_reads_.clear();
-            DiskId redirect = kInvalidDisk;
-            const DegradedAction action =
-                scheme_ == nullptr
-                    ? DegradedAction::kLost
-                    : scheme_->degraded_read(ctx_, req.file, chunk.bytes,
-                                             chunk.disk, redirect,
-                                             scratch_reads_);
-            if (action == DegradedAction::kRedirect && redirect != kInvalidDisk &&
-                redirect < ctx_.disks_.size() &&
-                !ctx_.fault_.failed(redirect)) {
-              plan_serves_.push_back(StripeChunk{redirect, chunk.bytes});
-              planned_degrades_.push_back(PlannedDegrade{
-                  DegradedOutcome::kRedirected, chunk.disk, redirect, 0,
-                  chunk.bytes});
-            } else if (action == DegradedAction::kReconstruct &&
-                       !scratch_reads_.empty()) {
-              PR_ASSERT(parity_on_,
-                        "kReconstruct from a non-parity redundancy scheme");
-              planned_degrades_.push_back(PlannedDegrade{
-                  DegradedOutcome::kReconstructed, chunk.disk, chunk.disk,
-                  static_cast<std::uint32_t>(scratch_reads_.size()),
-                  chunk.bytes});
-              plan_serves_.insert(plan_serves_.end(), scratch_reads_.begin(),
-                                  scratch_reads_.end());
-            } else {
-              lost = true;
-              break;
-            }
-          }
-          if (!lost) {
-            for (const auto& pd : planned_degrades_) {
-              emit_planned_degrade(req.arrival, req.file, pd);
-            }
-            for (const auto& chunk : plan_serves_) {
-              const Seconds done =
-                  serve_on(chunk.disk, req.arrival, chunk.bytes, req.file);
-              completion = std::max(completion, done);
-            }
-            chunk_count = static_cast<std::uint32_t>(plan_serves_.size());
-          }
-        } else {
-          // All chunks start in parallel; the request completes when the
-          // slowest disk finishes its piece.
-          for (const auto& chunk : chunks) {
-            const Seconds done = serve_on(chunk.disk, req.arrival, chunk.bytes, req.file);
-            completion = std::max(completion, done);
-          }
-          chunk_count = static_cast<std::uint32_t>(chunks.size());
-        }
+        chunks = striped;
       } else {
-        primary = policy_.route(ctx_, req);
-        if (control_on_ && !admit(req, primary)) continue;
-        if (ctx_.faults_on_ && ctx_.fault_.failed(primary)) {
-          scratch_reads_.clear();
-          DiskId redirect = kInvalidDisk;
-          const DegradedAction action =
-              scheme_ == nullptr
-                  ? DegradedAction::kLost
-                  : scheme_->degraded_read(ctx_, req.file, req.size, primary,
-                                           redirect, scratch_reads_);
-          switch (action) {
-            case DegradedAction::kLost:
-              lost = true;
-              break;
-            case DegradedAction::kRedirect:
-              if (redirect == kInvalidDisk ||
-                  redirect >= ctx_.disks_.size() ||
-                  ctx_.fault_.failed(redirect)) {
-                lost = true;
-              } else {
-                ctx_.counters_.add(h_redirected_);
-                if (obs != nullptr) {
-                  obs->on_request_degraded(RequestDegradedEvent{
-                      req.arrival, req.file, primary, redirect,
-                      DegradedOutcome::kRedirected, 1.0});
-                }
-                primary = redirect;
-              }
-              break;
-            case DegradedAction::kReconstruct:
-              if (scratch_reads_.empty()) {
-                lost = true;
-              } else {
-                completion =
-                    reconstruct(req.arrival, req.file, primary, req.size);
-                chunk_count =
-                    static_cast<std::uint32_t>(scratch_reads_.size());
-                reconstructed = true;
-              }
-              break;
+        whole = StripeChunk{policy_.route(ctx_, req), req.size};
+        chunks = {&whole, 1};
+      }
+      require_disks(chunks);
+      DiskId primary = chunks.front().disk;
+      // Admission precedes fault handling: a shed request consumes no
+      // degraded-read planning and no service. The first chunk's disk
+      // stands in for the request's backlog.
+      if (control_on_ && !admit(req, primary)) continue;
+      std::span<const StripeChunk> serves = chunks;
+      if (ctx_.faults_on_ && touches_failed_disk(chunks)) {
+        if (!plan_degraded(req, chunks)) {
+          // No live source for some chunk: the request is recorded, not
+          // served — no response time sample, no completion event, no
+          // after_serve (the epoch popularity bump above stands: demand
+          // existed even if unmet).
+          ctx_.counters_.add(h_lost_);
+          if (obs != nullptr) {
+            obs->on_request_degraded(RequestDegradedEvent{
+                req.arrival, req.file, primary, primary,
+                DegradedOutcome::kLost, 1.0});
           }
+          continue;
         }
-        if (!lost && !reconstructed) {
-          completion = serve_on(primary, req.arrival, req.size, req.file);
+        for (const auto& pd : planned_degrades_) {
+          emit_planned_degrade(req.arrival, req.file, pd);
         }
+        // A redirected first chunk moves the request's primary disk (the
+        // completion event's disk and after_serve's argument) to the
+        // redirect target; a reconstructed one keeps the failed disk.
+        const PlannedDegrade& first = planned_degrades_.front();
+        if (first.intended == primary &&
+            first.outcome == DegradedOutcome::kRedirected) {
+          primary = first.served_by;
+        }
+        serves = plan_serves_;
       }
-      if (lost) {
-        // No live copy: the request is recorded, not served — no response
-        // time sample, no completion event, no after_serve (the epoch
-        // popularity bump above stands: demand existed even if unmet).
-        ctx_.counters_.add(h_lost_);
-        if (obs != nullptr) {
-          obs->on_request_degraded(RequestDegradedEvent{
-              req.arrival, req.file, primary, primary, DegradedOutcome::kLost,
-              1.0});
-        }
-        touched_.clear();
-        continue;
+      Seconds completion{0.0};
+      for (const StripeChunk& chunk : serves) {
+        completion = std::max(completion, serve_on(chunk.disk, req.arrival,
+                                                   chunk.bytes, req.file));
       }
+      const auto chunk_count = static_cast<std::uint32_t>(serves.size());
       if (request_slowed_) {
         ctx_.counters_.add(h_slowed_);
         if (obs != nullptr) {
@@ -502,8 +421,8 @@ class ArraySimulator {
   }
 
  private:
-  /// A striped request's degraded chunk, planned in the first pass and
-  /// booked (counter + events) only if the whole request survives.
+  /// A request's degraded chunk, planned by plan_degraded() and booked
+  /// (counter + events) only if the whole request survives.
   struct PlannedDegrade {
     DegradedOutcome outcome = DegradedOutcome::kLost;
     DiskId intended = kInvalidDisk;
@@ -517,9 +436,7 @@ class ArraySimulator {
   /// spin-up-to-serve, and remember the disk for idle-check arming.
   /// Returns completion.
   Seconds serve_on(DiskId d, Seconds arrival, Bytes bytes, FileId file) {
-    if (d >= ctx_.disks_.size()) {
-      throw std::logic_error("policy routed to nonexistent disk");
-    }
+    PR_ASSERT(d < ctx_.disks_.size(), "serve_on: unchecked disk id");
     Disk& disk = ctx_.disks_[d];
     SimObserver* const obs = ctx_.observer_;
     // Ledger snapshots so the request event carries exact per-operation
@@ -578,36 +495,73 @@ class ArraySimulator {
     return completion;
   }
 
-  /// Serve a degraded single request by parity reconstruction: one costed
-  /// read of `bytes` on each surviving stripe unit (scratch_reads_), all
-  /// in parallel; the request completes when the slowest survivor
-  /// finishes. Books the counter and the StripeReconstruct +
-  /// RequestDegraded(kReconstructed) events before the serves so the
-  /// degraded events precede any spin-up transitions, as for redirects.
-  Seconds reconstruct(Seconds arrival, FileId file, DiskId failed,
-                      Bytes bytes) {
-    PR_ASSERT(parity_on_,
-              "kReconstruct from a non-parity redundancy scheme");
-    SimObserver* const obs = ctx_.observer_;
-    ctx_.counters_.add(h_reconstructed_);
-    if (obs != nullptr) {
-      obs->on_stripe_reconstruct(StripeReconstructEvent{
-          arrival, file, failed,
-          static_cast<std::uint32_t>(scratch_reads_.size()), bytes});
-      obs->on_request_degraded(RequestDegradedEvent{
-          arrival, file, failed, failed, DegradedOutcome::kReconstructed,
-          1.0});
+  /// Every chunk must name a disk of the array; checked once, before
+  /// admission reads the first chunk's backlog.
+  void require_disks(std::span<const StripeChunk> chunks) const {
+    for (const StripeChunk& chunk : chunks) {
+      if (chunk.disk >= ctx_.disks_.size()) {
+        throw std::logic_error("policy routed to nonexistent disk");
+      }
     }
-    Seconds completion{0.0};
-    for (const StripeChunk& read : scratch_reads_) {
-      completion = std::max(completion,
-                            serve_on(read.disk, arrival, read.bytes, file));
-    }
-    return completion;
   }
 
-  /// Book one surviving striped request's planned degraded chunk: the
-  /// counters and events deferred from the planning pass.
+  [[nodiscard]] bool touches_failed_disk(
+      std::span<const StripeChunk> chunks) const {
+    return std::any_of(chunks.begin(), chunks.end(),
+                       [&](const StripeChunk& c) {
+                         return ctx_.fault_.failed(c.disk);
+                       });
+  }
+
+  /// The degraded-read planner: each chunk on a failed disk consults the
+  /// redundancy seam. A live copy redirects the chunk; parity replaces it
+  /// with costed reads of its bytes on the surviving stripe units (the
+  /// RAID rule: rebuild the lost unit from the rest of its stripe).
+  /// Without a scheme, or with RAID-0, the chunk — and so the whole
+  /// request — is lost. Fills plan_serves_ and planned_degrades_ and
+  /// returns false on the first lost chunk; nothing is booked here.
+  bool plan_degraded(const Request& req,
+                     std::span<const StripeChunk> chunks) {
+    plan_serves_.clear();
+    planned_degrades_.clear();
+    for (const StripeChunk& chunk : chunks) {
+      if (!ctx_.fault_.failed(chunk.disk)) {
+        plan_serves_.push_back(chunk);
+        continue;
+      }
+      scratch_reads_.clear();
+      DiskId redirect = kInvalidDisk;
+      const DegradedAction action =
+          scheme_ == nullptr
+              ? DegradedAction::kLost
+              : scheme_->degraded_read(ctx_, req.file, chunk.bytes, chunk.disk,
+                                       redirect, scratch_reads_);
+      if (action == DegradedAction::kRedirect && redirect != kInvalidDisk &&
+          redirect < ctx_.disks_.size() && !ctx_.fault_.failed(redirect)) {
+        plan_serves_.push_back(StripeChunk{redirect, chunk.bytes});
+        planned_degrades_.push_back(PlannedDegrade{
+            DegradedOutcome::kRedirected, chunk.disk, redirect, 0,
+            chunk.bytes});
+      } else if (action == DegradedAction::kReconstruct &&
+                 !scratch_reads_.empty()) {
+        PR_ASSERT(parity_on_,
+                  "kReconstruct from a non-parity redundancy scheme");
+        require_disks(scratch_reads_);
+        planned_degrades_.push_back(PlannedDegrade{
+            DegradedOutcome::kReconstructed, chunk.disk, chunk.disk,
+            static_cast<std::uint32_t>(scratch_reads_.size()), chunk.bytes});
+        plan_serves_.insert(plan_serves_.end(), scratch_reads_.begin(),
+                            scratch_reads_.end());
+      } else {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Book one surviving request's planned degraded chunk: the counters
+  /// and events deferred from the planning pass, emitted before any serve
+  /// so they precede the serves' spin-up transitions.
   void emit_planned_degrade(Seconds arrival, FileId file,
                             const PlannedDegrade& pd) {
     SimObserver* const obs = ctx_.observer_;
@@ -1149,17 +1103,6 @@ SimResult run_simulation(const SimConfig& config, const FileSet& files,
 }
 
 SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         RequestSource& source, Policy& policy,
-                         SimObserver* observer) {
-  return run_simulation(config, files, source, policy, observer, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         RequestSource& source, Policy& policy) {
-  return run_simulation(config, files, source, policy, nullptr, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
                          const Trace& trace, Policy& policy,
                          SimObserver* observer, const FaultPlan* faults) {
   // Upfront validation preserves the historical contract that a bad trace
@@ -1175,17 +1118,6 @@ SimResult run_simulation(const SimConfig& config, const FileSet& files,
   }
   TraceSource source(trace);
   return run_simulation(config, files, source, policy, observer, faults);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         const Trace& trace, Policy& policy,
-                         SimObserver* observer) {
-  return run_simulation(config, files, trace, policy, observer, nullptr);
-}
-
-SimResult run_simulation(const SimConfig& config, const FileSet& files,
-                         const Trace& trace, Policy& policy) {
-  return run_simulation(config, files, trace, policy, nullptr, nullptr);
 }
 
 }  // namespace pr

@@ -9,6 +9,13 @@
 // live, which disk serves a request, what happens at epoch boundaries, and
 // whether a proposed spin-down is allowed.
 //
+// Requests: every request is a chunk plan. A whole-file request is one
+// chunk on the disk Policy::route() picks; a striped policy's stripe()
+// returns several. Both take one path — disk check, control admission,
+// the degraded-read planner when a chunk's disk has failed (redirect,
+// parity reconstruction, or loss of the whole request), then one serve
+// loop that completes the request when its slowest chunk finishes.
+//
 // Determinism: arrivals are replayed in trace order; deferred idle checks
 // live in an IdleTimerHeap (one armed deadline per disk, FIFO among equal
 // deadlines); policies receive callbacks at well-defined points only.
@@ -241,20 +248,25 @@ class Policy {
   virtual DiskId route(ArrayContext& ctx, const Request& req) = 0;
 
   /// Striping support (paper §6 future work / RAID-0 extension): when
-  /// this returns true the simulator calls stripe() instead of route(),
-  /// serves every chunk in parallel on its disk, and completes the
-  /// request when the slowest chunk finishes.
+  /// this returns true the simulator calls stripe() instead of route().
+  /// Either answer becomes the request's chunk plan (route() is the
+  /// one-chunk plan {route(), req.size}); every chunk is served in
+  /// parallel on its disk and the request completes when the slowest
+  /// chunk finishes.
   [[nodiscard]] virtual bool striped() const { return false; }
 
   /// Decompose `req` into per-disk chunks (non-empty, bytes summing to
-  /// req.size). Only called when striped() is true.
+  /// req.size, every disk inside the array). The first chunk's disk is
+  /// the request's primary disk (admission backlog, after_serve,
+  /// RequestCompleteEvent::disk). Only called when striped() is true.
   virtual std::vector<StripeChunk> stripe(ArrayContext& ctx,
                                           const Request& req) {
     return {StripeChunk{route(ctx, req), req.size}};
   }
 
-  /// Called after `req` was served by `d` (completion already ledgered) —
-  /// cache management, copy triggering, etc.
+  /// Called after `req` was served with `d` as its primary disk
+  /// (completion already ledgered) — cache management, copy triggering,
+  /// etc.
   virtual void after_serve(ArrayContext& ctx, const Request& req, DiskId d) {
     (void)ctx;
     (void)req;
@@ -293,7 +305,7 @@ class Policy {
   }
 
   /// The redundancy scheme backing this policy's own copy set (replica
-  /// sets, the MAID cache) — the simulator consults it when route() lands
+  /// sets, the MAID cache) — the simulator consults it when a chunk lands
   /// on a failed disk and SimConfig::redundancy is kNone (a configured
   /// parity scheme takes precedence). Return nullptr (the default) when
   /// the policy maintains no redundant copies: degraded requests are then
@@ -312,7 +324,8 @@ class Policy {
 /// same std::invalid_argument the materialized path always did
 /// ("run_simulation: trace is not sorted" / "... references unknown
 /// file"). std::logic_error on policy contract violations (unplaced file,
-/// bad route target).
+/// a route or stripe chunk naming a disk outside the array — checked
+/// before admission, so control-enabled runs reject it too).
 ///
 /// `observer` (optional) receives the hook stream described in
 /// obs/observer.h; pass nullptr for the zero-overhead fast path. Use
@@ -328,31 +341,17 @@ class Policy {
 [[nodiscard]] SimResult run_simulation(const SimConfig& config,
                                        const FileSet& files,
                                        RequestSource& source, Policy& policy,
-                                       SimObserver* observer,
-                                       const FaultPlan* faults);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       RequestSource& source, Policy& policy,
-                                       SimObserver* observer);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       RequestSource& source, Policy& policy);
+                                       SimObserver* observer = nullptr,
+                                       const FaultPlan* faults = nullptr);
 
-/// Materialized-trace adapters: validate `trace` up front (so contract
-/// errors surface before the policy initializes, exactly as before the
-/// streaming redesign) and replay it through a TraceSource. Byte-identical
-/// to the historical vector path — the goldens pin this.
+/// Materialized-trace adapter: validate `trace` up front (the one check
+/// that fires before Policy::initialize, as before the streaming
+/// redesign) and replay it through a TraceSource. Byte-identical to the
+/// historical vector path — the goldens pin this.
 [[nodiscard]] SimResult run_simulation(const SimConfig& config,
                                        const FileSet& files,
                                        const Trace& trace, Policy& policy,
-                                       SimObserver* observer,
-                                       const FaultPlan* faults);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       const Trace& trace, Policy& policy,
-                                       SimObserver* observer);
-[[nodiscard]] SimResult run_simulation(const SimConfig& config,
-                                       const FileSet& files,
-                                       const Trace& trace, Policy& policy);
+                                       SimObserver* observer = nullptr,
+                                       const FaultPlan* faults = nullptr);
 
 }  // namespace pr

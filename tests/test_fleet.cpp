@@ -122,21 +122,6 @@ TEST(FleetMerge, MatchesManualShardFold) {
             result.shards[1].ledgers[0].requests);
 }
 
-TEST(FleetMerge, MaterializedEqualsStreamed) {
-  FleetConfig fleet = small_fleet(3, 1);
-  const FleetWorkload workload = materialize_fleet_workload(fleet);
-  ASSERT_EQ(workload.shards.size(), 3u);
-  expect_identical(run_fleet(fleet).merged,
-                   run_fleet(fleet, workload).merged);
-}
-
-TEST(FleetMerge, WorkloadShardCountMismatchThrows) {
-  FleetConfig fleet = small_fleet(3, 1);
-  FleetWorkload workload = materialize_fleet_workload(fleet);
-  workload.shards.pop_back();
-  EXPECT_THROW((void)run_fleet(fleet, workload), std::invalid_argument);
-}
-
 TEST(FleetMerge, MissingPolicyThrows) {
   FleetConfig fleet = small_fleet(2, 1);
   fleet.policy = nullptr;

@@ -4,9 +4,9 @@
 // rebuild engine wakes disks and recovers them through the fault
 // machinery), the MTTDL loop closure, the [redundancy] scenario section,
 // and the determinism contracts — fault-free runs with a parity config
-// are byte-identical to redundancy=none, faulted parity runs repeat byte
-// for byte and match their committed hashes, and fleet cells are
-// byte-identical for threads = 1 vs N.
+// are byte-identical to redundancy=none, faulted parity runs (whole-file
+// and striped) repeat byte for byte and match their committed hashes,
+// and fleet cells are byte-identical for threads = 1 vs N.
 #include "redundancy/scheme.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,8 @@
 #include "fault/fault_plan.h"
 #include "golden_hash.h"
 #include "obs/jsonl_writer.h"
+#include "policy/striped_read_policy.h"
+#include "policy/striping.h"
 #include "press/mttdl_agreement.h"
 #include "redundancy/rebuild.h"
 #include "sim/array_sim.h"
@@ -505,6 +507,78 @@ TEST(RedundancySim, FaultedParityRunsMatchCommittedHashes) {
     EXPECT_EQ(first, run_once(g.kind));
 #if PR_GOLDEN_HASHES
     EXPECT_EQ(golden::fnv1a(first), g.jsonl) << "JSONL stream hash drifted";
+#endif
+  }
+}
+
+TEST(RedundancySim, StripedFaultedRunsMatchCommittedHashes) {
+  // Striped requests under faults: a small stripe unit fans most files
+  // over several disks, so the fail-stop window loses (RAID-0 / no
+  // scheme) or reconstructs (RAID-5) chunks, and the slowdown inflates
+  // chunks on a live disk. Rebuild stays off: with it on, the failed disk
+  // comes back before more than a couple of requests degrade.
+  auto wc = worldcup98_light_config(11);
+  wc.file_count = 200;
+  wc.request_count = 4'000;
+  const auto w = generate_workload(wc);
+
+  const FaultPlan plan = FaultPlan::from_events({
+      {Seconds{40.0}, 0, FaultKind::kFail},
+      {Seconds{60.0}, 5, FaultKind::kSlowdown, 3.0},
+      {Seconds{150.0}, 0, FaultKind::kRecover},
+  });
+
+  constexpr Bytes kUnit = 4 * kKiB;
+  const auto run_once = [&](bool read, RedundancyKind kind) {
+    auto cfg = config(8, kind, 0, /*rebuild=*/false);
+    cfg.epoch = Seconds{60.0};
+    StripingConfig sc;
+    sc.stripe_unit = kUnit;
+    StripedStaticPolicy striped_static(sc);
+    StripedReadConfig rc;
+    rc.stripe_unit = kUnit;
+    StripedReadPolicy striped_read(rc);
+    Policy& policy = read ? static_cast<Policy&>(striped_read)
+                          : static_cast<Policy&>(striped_static);
+    std::ostringstream out;
+    JsonlTraceWriter writer(out);
+    auto result =
+        run_simulation(cfg, w.files, w.trace, policy, &writer, &plan);
+    return std::pair{out.str(), std::move(result)};
+  };
+
+  struct Golden {
+    bool read;
+    RedundancyKind kind;
+    std::uint64_t jsonl;
+    std::uint64_t counters;
+  };
+  for (const Golden g : {
+           Golden{false, RedundancyKind::kNone, 14604396644830562387ULL,
+                  6821377233188112557ULL},
+           Golden{false, RedundancyKind::kRaid5, 15674414261966603986ULL,
+                  3973720117984551793ULL},
+           Golden{true, RedundancyKind::kNone, 4991218760998823026ULL,
+                  2615894842742947770ULL},
+           Golden{true, RedundancyKind::kRaid5, 3693739957072977281ULL,
+                  17980569388025252963ULL},
+       }) {
+    SCOPED_TRACE(std::string(g.read ? "READ+RAID0" : "RAID0-Static") + " / " +
+                 to_string(g.kind));
+    const auto [text, result] = run_once(g.read, g.kind);
+    EXPECT_GT(result.counters.at("sim.requests_slowed"), 0u);
+    if (g.kind == RedundancyKind::kNone) {
+      EXPECT_GT(result.counters.at("sim.requests_lost"), 0u);
+    } else {
+      EXPECT_EQ(result.counters.at("sim.requests_lost"), 0u);
+      EXPECT_GT(result.counters.at("sim.requests_reconstructed"), 0u);
+    }
+    EXPECT_EQ(text, run_once(g.read, g.kind).first);
+#if PR_GOLDEN_HASHES
+    EXPECT_EQ(golden::fnv1a(text), g.jsonl) << "JSONL stream hash drifted";
+    EXPECT_EQ(golden::fnv1a(golden::dump_counters(result.counters)),
+              g.counters)
+        << "counter dump hash drifted";
 #endif
   }
 }

@@ -297,6 +297,40 @@ TEST(ArraySim, RejectsRouteToBadDisk) {
                std::logic_error);
 }
 
+TEST(ArraySim, RejectsRouteToBadDiskUnderControl) {
+  // Admission reads the routed disk's backlog, so the target is checked
+  // before control sees it: a bad disk throws instead of being indexed
+  // (or silently shed by the admission window).
+  class BadRouter : public Policy {
+   public:
+    explicit BadRouter(bool striped) : striped_(striped) {}
+    std::string name() const override { return "Bad"; }
+    bool striped() const override { return striped_; }
+    void initialize(ArrayContext& ctx) override {
+      for (FileId f = 0; f < ctx.files().size(); ++f) ctx.place(f, 0);
+    }
+    DiskId route(ArrayContext&, const Request&) override { return 999; }
+    std::vector<StripeChunk> stripe(ArrayContext&,
+                                    const Request& req) override {
+      return {StripeChunk{0, req.size / 2},
+              StripeChunk{999, req.size - req.size / 2}};
+    }
+
+   private:
+    bool striped_;
+  };
+  auto cfg = config(2);
+  cfg.control.enabled = true;
+  cfg.control.admit_window_s = 0.5;
+  const auto files = two_files();
+  const auto trace = trace_of({{0.0, 0}, {0.1, 1}});
+  for (const bool striped : {false, true}) {
+    BadRouter policy(striped);
+    EXPECT_THROW((void)run_simulation(cfg, files, trace, policy),
+                 std::logic_error)
+        << (striped ? "striped" : "whole-file");
+  }
+}
 
 TEST(ArraySim, QueueingMatchesMD1Theory) {
   // Validation against queueing theory: Poisson arrivals at rate lambda to
