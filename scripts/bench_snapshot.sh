@@ -3,12 +3,13 @@
 #
 # Runs bench/obs_overhead (simulation-loop cost per configuration, plus
 # the idle-timer counters of a READ run),
-# bench/micro_benchmarks (google-benchmark JSON),
+# bench/micro_benchmarks (google-benchmark JSON, five repetitions each),
 # bench/fleet_throughput (the BM_FleetThroughput family up to the
 # 10k-disk / 100M-request fleet day), and bench/redundancy_bench (the
 # degraded-read / rebuild-overhead points), and merges them into
-# BENCH_<date>.json at the repo root: benchmark -> ns/op plus the key
-# sim.* counters, a "fleet" section, and a "redundancy" section. Commit
+# BENCH_<date>.json at the repo root: benchmark -> median ns/op and the
+# coefficient of variation over the repetitions, plus the key sim.*
+# counters, a "fleet" section, and a "redundancy" section. Commit
 # the file to record a before/after pair across a performance PR (see
 # docs/PERFORMANCE.md).
 #
@@ -35,8 +36,12 @@ trap 'rm -rf "$TMP"' EXIT
 # obs_overhead prints the table and drops CSVs where PR_RESULTS_DIR says.
 PR_RESULTS_DIR="$TMP" "$BUILD_DIR/bench/obs_overhead" | tee "$TMP/obs_overhead.txt"
 
+# Five repetitions per micro-benchmark; only the aggregates are kept, so
+# each one is recorded as a median with its spread (cv = stddev / mean).
 "$BUILD_DIR/bench/micro_benchmarks" \
   --benchmark_min_time="$MIN_TIME" \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   --benchmark_format=json >"$TMP/micro.json"
 
 # The fleet family times the streamed fleet day: each shard generates its
@@ -74,11 +79,18 @@ snapshot["context"] = {
     k: micro.get("context", {}).get(k)
     for k in ("date", "host_name", "num_cpus", "mhz_per_cpu", "library_build_type")
 }
+TO_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 for b in micro.get("benchmarks", []):
-    entry = {"real_time_ns": b["real_time"], "cpu_time_ns": b["cpu_time"]}
-    if "items_per_second" in b:
-        entry["ns_per_item"] = 1e9 / b["items_per_second"]
-    snapshot["benchmarks"][b["name"]] = entry
+    entry = snapshot["benchmarks"].setdefault(
+        b["run_name"], {"repetitions": b["repetitions"]})
+    if b["aggregate_name"] == "median":
+        scale = TO_NS[b["time_unit"]]
+        entry["median_ns"] = b["real_time"] * scale
+        entry["cpu_median_ns"] = b["cpu_time"] * scale
+        if "items_per_second" in b:
+            entry["ns_per_item"] = 1e9 / b["items_per_second"]
+    elif b["aggregate_name"] == "cv":
+        entry["cv"] = b["real_time"]
 
 with open(os.path.join(tmp, "fleet.json")) as f:
     fleet = json.load(f)

@@ -13,30 +13,54 @@ namespace pr {
 namespace {
 
 void validate(const SyntheticWorkloadConfig& c) {
+  // Each floating-point check is written !(in range) so that a NaN,
+  // which compares false, fails it.
   if (c.file_count == 0) {
     throw std::invalid_argument("synthetic: file_count == 0");
   }
-  if (!(c.mean_interarrival.value() > 0.0)) {
-    throw std::invalid_argument("synthetic: mean_interarrival <= 0");
+  const double mean = c.mean_interarrival.value();
+  if (!(std::isfinite(mean) && mean > 0.0)) {
+    throw std::invalid_argument(
+        "synthetic: mean_interarrival must be finite and > 0");
   }
-  if (!(c.load_factor > 0.0)) {
-    throw std::invalid_argument("synthetic: load_factor <= 0");
+  if (!(std::isfinite(c.load_factor) && c.load_factor > 0.0)) {
+    throw std::invalid_argument(
+        "synthetic: load_factor must be finite and > 0");
   }
-  if (c.zipf_alpha < 0.0) {
-    throw std::invalid_argument("synthetic: zipf_alpha < 0");
+  if (!(std::isfinite(c.zipf_alpha) && c.zipf_alpha >= 0.0)) {
+    throw std::invalid_argument(
+        "synthetic: zipf_alpha must be finite and >= 0");
+  }
+  if (!std::isfinite(c.size_log_mu)) {
+    throw std::invalid_argument("synthetic: size_log_mu must be finite");
+  }
+  if (!std::isfinite(c.size_log_sigma)) {
+    throw std::invalid_argument("synthetic: size_log_sigma must be finite");
   }
   if (c.min_file_bytes == 0 || c.max_file_bytes < c.min_file_bytes) {
     throw std::invalid_argument("synthetic: bad size bounds");
   }
-  if (c.diurnal_depth < 0.0 || c.diurnal_depth >= 1.0) {
+  const double anti = c.size_popularity_anticorrelation;
+  if (!(anti >= 0.0 && anti <= 1.0)) {
+    throw std::invalid_argument(
+        "synthetic: size_popularity_anticorrelation outside [0,1]");
+  }
+  if (!(c.diurnal_depth >= 0.0 && c.diurnal_depth < 1.0)) {
     throw std::invalid_argument("synthetic: diurnal_depth outside [0,1)");
   }
-  if (c.burstiness < 0.0 || c.burstiness >= 1.0) {
+  if (!(c.burstiness >= 0.0 && c.burstiness < 1.0)) {
     throw std::invalid_argument("synthetic: burstiness outside [0,1)");
   }
   if (c.burstiness > 0.0 && c.burst_window == 0) {
     throw std::invalid_argument("synthetic: burst_window == 0");
   }
+}
+
+/// `c`, after validate(c); lets a constructor validate before its first
+/// member that depends on the config is built.
+const SyntheticWorkloadConfig& validated(const SyntheticWorkloadConfig& c) {
+  validate(c);
+  return c;
 }
 
 /// Sizes sorted ascending, then partially de-sorted so that popularity
@@ -67,16 +91,15 @@ std::vector<Bytes> make_sizes_for_ranks(const SyntheticWorkloadConfig& c,
   return sizes;
 }
 
-}  // namespace
-
-FileSet generate_fileset(const SyntheticWorkloadConfig& config) {
-  validate(config);
+/// The file universe of a validated config; `zipf` is the popularity
+/// table over config.file_count ranks, whose pmf sets the access rates.
+FileSet make_fileset(const SyntheticWorkloadConfig& config,
+                     const ZipfDistribution& zipf) {
   Rng rng(config.seed);
   const auto sizes = make_sizes_for_ranks(config, rng);
 
   const double rate_total =
       config.load_factor / config.mean_interarrival.value();
-  ZipfDistribution zipf(config.file_count, config.zipf_alpha);
 
   std::vector<FileInfo> files(config.file_count);
   for (std::size_t rank = 0; rank < config.file_count; ++rank) {
@@ -91,11 +114,19 @@ FileSet generate_fileset(const SyntheticWorkloadConfig& config) {
   return FileSet(std::move(files));
 }
 
+}  // namespace
+
+FileSet generate_fileset(const SyntheticWorkloadConfig& config) {
+  validate(config);
+  return make_fileset(
+      config, ZipfDistribution(config.file_count, config.zipf_alpha));
+}
+
 SyntheticSource::SyntheticSource(const SyntheticWorkloadConfig& config)
-    : config_(config),
-      files_(generate_fileset(config)),  // validates config
-      rng_(config.seed ^ 0xD1F7C0DEULL),  // independent arrival stream
+    : config_(validated(config)),
       zipf_(config.file_count, config.zipf_alpha),
+      files_(make_fileset(config, zipf_)),
+      rng_(config.seed ^ 0xD1F7C0DEULL),  // independent arrival stream
       base_mean_(config.mean_interarrival.value() / config.load_factor) {
   recent_.reserve(config_.burst_window);
 }

@@ -102,9 +102,9 @@ class SyntheticSource final : public RequestSource {
 
  private:
   SyntheticWorkloadConfig config_;
+  ZipfDistribution zipf_;  // built before files_, which reads its pmf
   FileSet files_;
   Rng rng_;
-  ZipfDistribution zipf_;
   double base_mean_;
   std::vector<FileId> recent_;  // temporal-locality ring buffer
   std::size_t recent_cursor_ = 0;

@@ -1,7 +1,9 @@
 #include "workload/zipf.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace pr {
@@ -17,7 +19,13 @@ double ZipfDistribution::harmonic(std::size_t n, double alpha) {
 ZipfDistribution::ZipfDistribution(std::size_t n, double alpha)
     : alpha_(alpha) {
   if (n == 0) throw std::invalid_argument("ZipfDistribution: n == 0");
-  if (alpha < 0.0) throw std::invalid_argument("ZipfDistribution: alpha < 0");
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("ZipfDistribution: n > UINT32_MAX");
+  }
+  if (!(std::isfinite(alpha) && alpha >= 0.0)) {
+    throw std::invalid_argument(
+        "ZipfDistribution: alpha must be finite and >= 0");
+  }
   cdf_.resize(n);
   double cum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -27,12 +35,19 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double alpha)
   norm_ = cum;
   for (auto& c : cdf_) c /= norm_;
   cdf_.back() = 1.0;  // guard against fp residue
-}
 
-std::size_t ZipfDistribution::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(std::distance(cdf_.begin(), it));
+  // One merge walk over bucket edges and CDF entries. The edges j / B are
+  // exact and below 1.0 == cdf_.back(), so the walk stays in range.
+  const std::size_t buckets = std::bit_ceil(n);
+  buckets_ = static_cast<double>(buckets);
+  guide_.resize(buckets + 1);
+  std::size_t i = 0;
+  for (std::size_t j = 0; j < buckets; ++j) {
+    const double edge = static_cast<double>(j) / buckets_;
+    while (cdf_[i] < edge) ++i;
+    guide_[j] = static_cast<std::uint32_t>(i);
+  }
+  guide_[buckets] = static_cast<std::uint32_t>(n - 1);
 }
 
 double ZipfDistribution::pmf(std::size_t i) const {

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 
+#include "golden_hash.h"
 #include "trace/trace_stats.h"
 #include "util/stats.h"
 #include "workload/fileset.h"
@@ -93,6 +98,70 @@ TEST(Synthetic, RejectsBadConfig) {
   c = {};
   c.diurnal_depth = 1.0;
   EXPECT_THROW(generate_workload(c), std::invalid_argument);
+}
+
+TEST(Synthetic, RejectsNonFiniteKnobs) {
+  // Each of these once slipped past validation: NaN fails no `x < lo`
+  // check, and the anti-correlation strength was never range-checked.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const SyntheticWorkloadConfig& c,
+                                  const std::string& field) {
+    try {
+      (void)generate_fileset(c);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(SyntheticSource{c}, std::invalid_argument) << field;
+  };
+  SyntheticWorkloadConfig c;
+  c.zipf_alpha = kNan;
+  expect_rejected(c, "zipf_alpha");
+  c = {};
+  c.zipf_alpha = kInf;
+  expect_rejected(c, "zipf_alpha");
+  c = {};
+  c.size_popularity_anticorrelation = 2.5;
+  expect_rejected(c, "size_popularity_anticorrelation");
+  c = {};
+  c.size_popularity_anticorrelation = -0.1;
+  expect_rejected(c, "size_popularity_anticorrelation");
+  c = {};
+  c.size_popularity_anticorrelation = kNan;
+  expect_rejected(c, "size_popularity_anticorrelation");
+  c = {};
+  c.diurnal_depth = kNan;
+  expect_rejected(c, "diurnal_depth");
+  c = {};
+  c.burstiness = kNan;
+  expect_rejected(c, "burstiness");
+  c = {};
+  c.size_log_mu = kNan;
+  expect_rejected(c, "size_log_mu");
+  c = {};
+  c.size_log_mu = kInf;
+  expect_rejected(c, "size_log_mu");
+  c = {};
+  c.size_log_sigma = kNan;
+  expect_rejected(c, "size_log_sigma");
+  c = {};
+  c.size_log_sigma = -kInf;
+  expect_rejected(c, "size_log_sigma");
+  c = {};
+  c.mean_interarrival = Seconds{kInf};
+  expect_rejected(c, "mean_interarrival");
+  c = {};
+  c.load_factor = kNan;
+  expect_rejected(c, "load_factor");
+  // The documented endpoints stay legal.
+  c = {};
+  c.request_count = 10;
+  c.size_popularity_anticorrelation = 1.0;
+  EXPECT_NO_THROW((void)generate_workload(c));
+  c.size_popularity_anticorrelation = 0.0;
+  EXPECT_NO_THROW((void)generate_workload(c));
 }
 
 SyntheticWorkloadConfig small_config() {
@@ -318,6 +387,75 @@ TEST(Synthetic, EmailServerIsWeaklySkewed) {
   const auto web_stats = compute_trace_stats(generate_workload(web).trace);
   // Larger θ = weaker skew (Lee et al. convention).
   EXPECT_GT(stats.theta, web_stats.theta);
+}
+
+/// Appends `v` to `out` as 8 little-endian bytes.
+void append_u64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out += static_cast<char>((v >> (8 * i)) & 0xFFU);
+  }
+}
+
+struct StreamHashes {
+  std::uint64_t requests;
+  std::uint64_t files;
+};
+
+/// Hashes every request's (arrival bits, file, size) and every file's
+/// (size, access_rate bits) of a drained SyntheticSource.
+StreamHashes hash_stream(const SyntheticWorkloadConfig& config) {
+  SyntheticSource source(config);
+  std::string bytes;
+  Request r;
+  std::uint64_t requests = golden::fnv1a({});
+  while (source.next(r)) {
+    bytes.clear();
+    append_u64(bytes, std::bit_cast<std::uint64_t>(r.arrival.value()));
+    append_u64(bytes, r.file);
+    append_u64(bytes, r.size);
+    requests = golden::fnv1a(bytes, requests);
+  }
+  bytes.clear();
+  const FileSet& files = source.files();
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    append_u64(bytes, files[i].size);
+    append_u64(bytes, std::bit_cast<std::uint64_t>(files[i].access_rate));
+  }
+  return {requests, golden::fnv1a(bytes)};
+}
+
+TEST(Synthetic, PresetStreamsMatchCommittedHashes) {
+  // Pins the generated request stream and file universe of every preset:
+  // diurnal arrivals, burstiness, and 800 to 100,000 files. A change to
+  // the Zipf sampler or the size model that moves one request fails here.
+  struct Preset {
+    const char* name;
+    SyntheticWorkloadConfig (*make)(std::uint64_t);
+    std::uint64_t requests;
+    std::uint64_t files;
+  };
+  const Preset presets[] = {
+      {"wc98-light", worldcup98_light_config,
+       4439640467779086779ULL, 13366281244780351556ULL},
+      {"wc98-heavy", worldcup98_heavy_config,
+       6338266357664113204ULL, 13493636330649320741ULL},
+      {"proxy", proxy_server_config,
+       10907838390111388087ULL, 14959954690596804053ULL},
+      {"ftp", ftp_mirror_config,
+       5318274001281403554ULL, 3533147151927743161ULL},
+      {"email", email_server_config,
+       5372447697534779380ULL, 12749331193353966393ULL},
+  };
+  for (const Preset& p : presets) {
+    auto config = p.make(42);
+    config.request_count = 200'000;
+    const StreamHashes h = hash_stream(config);
+    EXPECT_EQ(hash_stream(config).requests, h.requests) << p.name;
+#if PR_GOLDEN_HASHES
+    EXPECT_EQ(h.requests, p.requests) << p.name << " request stream drifted";
+    EXPECT_EQ(h.files, p.files) << p.name << " file universe drifted";
+#endif
+  }
 }
 
 }  // namespace

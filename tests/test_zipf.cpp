@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
+
+#include "util/contracts.h"
 
 namespace pr {
 namespace {
@@ -14,7 +20,72 @@ namespace {
 TEST(Zipf, RejectsBadArguments) {
   EXPECT_THROW(ZipfDistribution(0, 0.8), std::invalid_argument);
   EXPECT_THROW(ZipfDistribution(10, -0.1), std::invalid_argument);
+  // Ranks are stored as uint32_t, like FileId; rejected before allocating.
+  const std::size_t too_many =
+      std::size_t{std::numeric_limits<std::uint32_t>::max()} + 1;
+  EXPECT_THROW(ZipfDistribution(too_many, 0.8), std::invalid_argument);
 }
+
+TEST(Zipf, RejectsNanAlpha) {
+  // A NaN passes `alpha < 0`; it must not build an all-NaN CDF that sends
+  // every sample to rank 0.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ZipfDistribution(10, kNan), std::invalid_argument);
+  EXPECT_THROW(ZipfDistribution(10, kInf), std::invalid_argument);
+}
+
+/// rank_at must equal std::lower_bound over the CDF for every u: the guide
+/// table is a speed-up, never a change to the request stream.
+TEST(Zipf, RankAtMatchesLowerBound) {
+  const std::size_t sizes[] = {1, 2, 3, 37, 4'079, 40'000, 100'000};
+  // alpha = 40 drives most of the CDF to exact ties at 1.0.
+  const double alphas[] = {0.0, 0.3, 0.8, 1.0, 3.0, 40.0};
+  std::size_t checks = 0;
+  for (const std::size_t n : sizes) {
+    for (const double alpha : alphas) {
+      const ZipfDistribution z(n, alpha);
+      std::vector<double> cdf(n);
+      for (std::size_t k = 1; k <= n; ++k) cdf[k - 1] = z.cumulative(k);
+      std::size_t mismatches = 0;
+      double first_bad_u = 0.0;
+      const auto check = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0)) return;
+        const auto expected = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ++checks;
+        if (z.rank_at(u) != expected && mismatches++ == 0) first_bad_u = u;
+      };
+      const auto check_around = [&](double u) {
+        check(std::nextafter(u, 0.0));
+        check(u);
+        check(std::nextafter(u, 2.0));
+      };
+
+      Rng rng(n * 31 + static_cast<std::uint64_t>(alpha * 10));
+      for (int i = 0; i < 200'000; ++i) check(rng.uniform());
+      const std::size_t buckets = std::bit_ceil(n);
+      for (std::size_t j = 0; j < buckets; ++j) {
+        check_around(static_cast<double>(j) / static_cast<double>(buckets));
+      }
+      for (const double c : cdf) check_around(c);
+      check(0.0);
+      check(std::nextafter(1.0, 0.0));
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " alpha=" << alpha
+                                << " first mismatch at u=" << first_bad_u;
+    }
+  }
+  EXPECT_GT(checks, 8'000'000u);
+}
+
+#if PR_CONTRACTS_ENABLED
+TEST(ZipfDeath, RankAtRejectsUOutsideUnitInterval) {
+  const ZipfDistribution z(37, 0.8);
+  EXPECT_DEATH((void)z.rank_at(1.0), "rank_at: u outside \\[0, 1\\)");
+  EXPECT_DEATH((void)z.rank_at(std::numeric_limits<double>::quiet_NaN()),
+               "rank_at: u outside \\[0, 1\\)");
+}
+#endif
 
 TEST(Zipf, PmfSumsToOne) {
   ZipfDistribution z(1000, 0.8);
