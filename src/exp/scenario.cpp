@@ -512,14 +512,6 @@ void validate_scenario(const ScenarioSpec& spec) {
     }
   }
   if (spec.control.enabled) {
-    if (spec.fleet.enabled) {
-      // Scope cut, not an oversight: fleet shards are independent arrays
-      // with no shared telemetry window, so one controller would couple
-      // them; a per-shard loop is future work.
-      throw std::invalid_argument("scenario '" + spec.name +
-                                  "': [control] does not compose with "
-                                  "[fleet]");
-    }
     ControlConfig config = spec.control.config;
     config.enabled = true;
     try {
@@ -535,13 +527,8 @@ void validate_scenario(const ScenarioSpec& spec) {
     // scenario_redundancy_kind throws for unknown scheme names;
     // validate_redundancy checks the geometry against every disks-axis
     // value (raid5 wants disks divisible by group, etc.).
-    const RedundancyKind kind = scenario_redundancy_kind(spec.redundancy);
-    RedundancyConfig config;
-    config.kind = kind;
-    config.group = spec.redundancy.group;
-    config.rebuild = spec.redundancy.rebuild;
-    config.rebuild_mbps = spec.redundancy.rebuild_mbps;
-    config.rebuild_chunk = static_cast<Bytes>(spec.redundancy.rebuild_chunk);
+    const RedundancyConfig config =
+        scenario_redundancy_config(spec.redundancy);
     for (const std::size_t disks : spec.disks) {
       try {
         validate_redundancy(config, disks);
@@ -558,6 +545,16 @@ RedundancyKind scenario_redundancy_kind(const ScenarioRedundancy& r) {
   if (r.scheme == "declustered") return RedundancyKind::kDeclustered;
   throw std::invalid_argument("unknown redundancy scheme '" + r.scheme +
                               "'; valid: raid5, declustered");
+}
+
+RedundancyConfig scenario_redundancy_config(const ScenarioRedundancy& r) {
+  RedundancyConfig config;
+  config.kind = scenario_redundancy_kind(r);
+  config.group = r.group;
+  config.rebuild = r.rebuild;
+  config.rebuild_mbps = r.rebuild_mbps;
+  config.rebuild_chunk = static_cast<Bytes>(r.rebuild_chunk);
+  return config;
 }
 
 std::vector<std::string> workload_presets() {

@@ -164,7 +164,8 @@ struct ScenarioRedundancy {
 /// sim/fleet_sim.h and reported as one merged result (cell `disks` column
 /// = total fleet disks). Synthetic workloads only — each shard derives its
 /// own stream from the cell's workload config via fleet_shard_seed.
-/// Composes with [fault]: each shard gets an independent hazard plan.
+/// Composes with [fault] (each shard gets an independent hazard plan),
+/// [redundancy] and [control] (each shard carries its own state).
 struct ScenarioFleet {
   bool enabled = false;
   std::uint32_t shards = 1;
@@ -178,9 +179,9 @@ struct ScenarioFleet {
 /// SimConfig::control enabled — the latency / energy / epoch controllers
 /// of control/control_loop.h close the loop between epochs, and the
 /// admission window sheds requests whose backlog exceeds it. Composes
-/// with [fault] and [redundancy]; not with [fleet] (shards share no
-/// controller — rejected by validation). The cell's `epoch_s` value
-/// seeds the adaptive epoch length.
+/// with [fault], [redundancy] and [fleet] (every shard runs its own
+/// controller; the fleet cell reports shard-summed control counters).
+/// The cell's `epoch_s` value seeds the adaptive epoch length.
 struct ScenarioControl {
   bool enabled = false;
   /// The knobs, minus `enabled` (the section's presence sets it per
@@ -227,6 +228,11 @@ void validate_scenario(const ScenarioSpec& spec);
 /// Map the [redundancy] scheme name to its RedundancyKind. Throws
 /// std::invalid_argument for unknown names (listing the valid ones).
 [[nodiscard]] RedundancyKind scenario_redundancy_kind(
+    const ScenarioRedundancy& redundancy);
+
+/// The cells' RedundancyConfig for a [redundancy] section (throws like
+/// scenario_redundancy_kind for unknown schemes).
+[[nodiscard]] RedundancyConfig scenario_redundancy_config(
     const ScenarioRedundancy& redundancy);
 
 /// Known synthetic preset names (wc98-light, wc98-heavy, proxy, ftp,

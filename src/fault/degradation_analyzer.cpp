@@ -1,5 +1,6 @@
 #include "fault/degradation_analyzer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -66,6 +67,29 @@ void DegradationAnalyzer::on_run_end(const RunEndEvent& event) {
     }
     failed_now_ = 0;
   }
+}
+
+void DegradationAnalyzer::merge(const DegradationAnalyzer& other) {
+  failures_ += other.failures_;
+  recoveries_ += other.recoveries_;
+  lost_ += other.lost_;
+  redirected_ += other.redirected_;
+  slowed_ += other.slowed_;
+  reconstructed_ += other.reconstructed_;
+  rebuilds_started_ += other.rebuilds_started_;
+  rebuilds_completed_ += other.rebuilds_completed_;
+  rebuilt_bytes_ += other.rebuilt_bytes_;
+  // Duration sums fold as mean x count, not as the raw sums: the fleet
+  // reports were pinned with this arithmetic, and the two can differ in
+  // the last bit of a mean.
+  rebuild_sum_ += Seconds{other.mean_rebuild_time().value() *
+                          static_cast<double>(other.rebuilds_completed_)};
+  rebuild_max_ = std::max(rebuild_max_, other.rebuild_max_);
+  downtime_ += other.downtime_;
+  recovery_sum_ += Seconds{other.mean_recovery_time().value() *
+                           static_cast<double>(other.recoveries_)};
+  recovery_max_ = std::max(recovery_max_, other.recovery_max_);
+  degraded_window_ += other.degraded_window_;
 }
 
 void DegradationAnalyzer::merge_into(SimResult& result) const {

@@ -79,11 +79,19 @@ class DegradationAnalyzer final : public SimObserver {
   }
   [[nodiscard]] Seconds max_rebuild_time() const { return rebuild_max_; }
 
+  /// Fold another array's finished analysis into this one (a fleet's
+  /// shards, in shard order): counts, downtime, the recovery/rebuild
+  /// duration sums (each rebuilt as mean x count) and the degraded windows
+  /// add; the maxima take the max.
+  /// Shards are independent arrays, so the folded window is the sum of
+  /// per-array windows, not a wall-clock union across them. The per-disk
+  /// split is not merged: its disk ids are local to each array.
+  void merge(const DegradationAnalyzer& other);
+
   /// Add the metrics the registry cannot see to result.counters:
-  /// durations in milliseconds, rounded (fault.downtime_ms,
-  /// fault.degraded_window_ms, fault.mean_recovery_ms,
-  /// fault.max_recovery_ms; redundancy.mean_rebuild_ms /
-  /// redundancy.max_rebuild_ms when a rebuild completed) and the per-disk
+  /// durations in milliseconds, rounded (the fault.*_ms downtime, degraded
+  /// window and mean/max recovery counters; the redundancy.*_rebuild_ms
+  /// mean/max when a rebuild completed) and the per-disk
   /// degraded-request split (fault.disk<N>.degraded_requests, emitted
   /// only for disks with a nonzero count so fault reports keep their
   /// historical counter sets when no request was degraded). Aggregate

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <locale>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "util/contracts.h"
-#include "util/fmt.h"
 #include "util/thread_pool.h"
 
 namespace pr {
@@ -125,63 +122,6 @@ FleetResult run_fleet(const FleetConfig& config) {
     });
   }
   return merge_results(config, std::move(results));
-}
-
-void FleetTimeSeries::write_csv(std::ostream& out) const {
-  out << "window,start_s,disk,requests,bytes,busy_s,utilization,energy_j,"
-         "max_backlog_s,transitions_up,transitions_down,high_speed_fraction,"
-         "migrations_in,migrations_out,degraded,lost\n";
-  out.imbue(std::locale::classic());
-  const auto full = [](double v) { return format_double(v, 17); };
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    const double start = static_cast<double>(w) * window.value();
-    for (std::size_t d = 0; d < windows[w].size(); ++d) {
-      const WindowSample& s = windows[w][d];
-      out << w << ',' << full(start) << ',' << d << ',' << s.requests << ','
-          << s.bytes << ',' << full(s.busy.value()) << ','
-          << full(s.utilization(window)) << ',' << full(s.energy.value())
-          << ',' << full(s.max_backlog.value()) << ',' << s.transitions_up
-          << ',' << s.transitions_down << ','
-          << full(s.high_speed_fraction(window)) << ',' << s.migrations_in
-          << ',' << s.migrations_out << ',' << s.degraded_requests << ','
-          << s.lost_requests << '\n';
-    }
-  }
-}
-
-FleetTimeSeries merge_time_series(
-    const std::vector<const TimeSeriesRecorder*>& shards,
-    std::uint32_t disks_per_shard) {
-  if (shards.empty()) {
-    throw std::invalid_argument("merge_time_series: no shards");
-  }
-  FleetTimeSeries fleet;
-  fleet.window = shards.front()->window_length();
-  fleet.disks = fleet_disk_count(static_cast<std::uint32_t>(shards.size()),
-                                 disks_per_shard);
-  std::size_t window_count = 0;
-  for (const TimeSeriesRecorder* shard : shards) {
-    if (shard->window_length().value() != fleet.window.value()) {
-      throw std::invalid_argument(
-          "merge_time_series: shards disagree on window length");
-    }
-    if (shard->disk_count() != disks_per_shard) {
-      throw std::invalid_argument(
-          "merge_time_series: shard disk count != disks_per_shard");
-    }
-    window_count = std::max(window_count, shard->window_count());
-  }
-  fleet.windows.assign(window_count,
-                       std::vector<WindowSample>(fleet.disks));
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const TimeSeriesRecorder& shard = *shards[s];
-    for (std::size_t w = 0; w < shard.window_count(); ++w) {
-      for (std::uint32_t d = 0; d < disks_per_shard; ++d) {
-        fleet.windows[w][s * disks_per_shard + d] = shard.at(w, d);
-      }
-    }
-  }
-  return fleet;
 }
 
 }  // namespace pr

@@ -25,33 +25,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "fault/fault_plan.h"
 #include "obs/observer.h"
-#include "obs/time_series.h"
 #include "sim/array_sim.h"
 #include "sim/metrics.h"
+#include "util/rng.h"
 #include "workload/synthetic.h"
 
 namespace pr {
-
-/// SplitMix64 finalizer (the same mixer pr::Rng and the scenario engine's
-/// plan seeds use) — exposed so tests can predict per-shard seeds.
-[[nodiscard]] constexpr std::uint64_t fleet_splitmix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 /// Shard `shard`'s independent workload seed, derived from the fleet base
 /// seed. Pure function of (base, shard) — never of thread identity.
 [[nodiscard]] constexpr std::uint64_t fleet_shard_seed(std::uint64_t base,
                                                        std::uint64_t shard) {
-  return fleet_splitmix(fleet_splitmix(base) ^ shard);
+  return splitmix64(splitmix64(base) ^ shard);
 }
 
 /// Checked fleet geometry: `shards * disks_per_shard` as a DiskId, or
@@ -116,26 +106,5 @@ struct FleetResult {
 /// memory at any fleet size). Throws std::invalid_argument for bad
 /// geometry and std::logic_error when no policy factory is set.
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
-
-/// Fleet-wide windowed telemetry merged from per-shard recorders: window
-/// `w` of fleet disk `s * disks_per_shard + d` is `shards[s]->at(w, d)`.
-/// Shards may materialize different window counts (a quiet shard's run
-/// ends earlier); short shards read as zero samples in the tail windows.
-struct FleetTimeSeries {
-  Seconds window{60.0};
-  std::uint32_t disks = 0;
-  /// windows[w][fleet disk]
-  std::vector<std::vector<WindowSample>> windows;
-
-  /// Same long-form schema as TimeSeriesRecorder::write_csv.
-  void write_csv(std::ostream& out) const;
-};
-
-/// Merge per-shard recorders by window (all must share the same window
-/// length and disks_per_shard disk count; std::invalid_argument
-/// otherwise).
-[[nodiscard]] FleetTimeSeries merge_time_series(
-    const std::vector<const TimeSeriesRecorder*>& shards,
-    std::uint32_t disks_per_shard);
 
 }  // namespace pr

@@ -14,23 +14,33 @@
 
 namespace pr {
 
+/// SplitMix64's Weyl increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ULL;
+
+/// SplitMix64 (Steele, Lea & Flood): the finalizer applied to `x` advanced
+/// by one gamma step. The one copy of the mixer: Rng seeding, the
+/// reservoir's index stream and every derived shard/plan seed call it, so
+/// the seed-layout and preset-stream goldens pin its bits.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMixGamma;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** 1.0 — public-domain algorithm, 256-bit state, period 2^256−1.
 class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) { reseed(seed); }
+  explicit Rng(std::uint64_t seed = kSplitMixGamma) { reseed(seed); }
 
   /// Re-initialise the state from a 64-bit seed via SplitMix64, which
   /// guarantees a well-mixed non-zero state for any seed, including 0.
   void reseed(std::uint64_t seed) {
-    std::uint64_t x = seed;
     for (auto& word : state_) {
-      x += 0x9E3779B97F4A7C15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-      word = z ^ (z >> 31);
+      word = splitmix64(seed);
+      seed += kSplitMixGamma;
     }
   }
 

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/rng.h"
+
 namespace pr {
 
 void StreamingStats::add(double x) {
@@ -130,11 +132,9 @@ ReservoirSample::ReservoirSample(std::size_t capacity, std::uint64_t seed)
 
 std::uint64_t ReservoirSample::next_u64() {
   // SplitMix64: ample quality for reservoir index selection.
-  rng_state_ += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = rng_state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  const std::uint64_t z = splitmix64(rng_state_);
+  rng_state_ += kSplitMixGamma;
+  return z;
 }
 
 void ReservoirSample::merge(const ReservoirSample& other) {

@@ -622,7 +622,7 @@ TEST(ControlScenarioTest, ParserReadsTheControlSection) {
   EXPECT_EQ(spec.control.config.persistence, 2u);
 }
 
-TEST(ControlScenarioTest, ValidationRejectsBadKnobsAndFleet) {
+TEST(ControlScenarioTest, ValidationRejectsBadKnobs) {
   // Knob validation is the ControlLoop's, surfaced with scenario context.
   EXPECT_THROW((void)parse_scenario("[scenario]\nname = bad\n"
                                     "[control]\ngain = -1\n[policy read]\n"),
@@ -635,11 +635,6 @@ TEST(ControlScenarioTest, ValidationRejectsBadKnobsAndFleet) {
     EXPECT_NE(std::string(e.what()).find("c.ini:2:"), std::string::npos)
         << e.what();
   }
-  // [control] does not compose with [fleet] (shards share no window).
-  EXPECT_THROW(
-      (void)parse_scenario("[scenario]\nname = f\n[fleet]\nshards = 2\n"
-                           "[control]\nadmit_window = 1\n[policy read]\n"),
-      std::invalid_argument);
 }
 
 TEST(ControlScenarioTest, CsvWidensAndThreadsAreByteIdentical) {

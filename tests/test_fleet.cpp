@@ -290,6 +290,71 @@ TEST(FleetScenario, ComposesWithFaultsDeterministically) {
   EXPECT_NE(one.find("rate_scale"), std::string::npos);
 }
 
+// [control] composes with [fleet]: every shard runs its own controller
+// and admission window, and the cell reports shard-summed counters.
+TEST(FleetScenario, ComposesWithControl) {
+  std::string text = kFleetScenario;
+  // Epochs short enough for several control updates per shard, and an
+  // admission window tight enough that bursts shed.
+  const std::size_t epoch = text.find("epoch = 300");
+  ASSERT_NE(epoch, std::string::npos);
+  text.replace(epoch, 11, "epoch = 20");
+  text +=
+      "\n[control]\n"
+      "target_rt_ms = 25\n"
+      "admit_window = 0.05\n";
+  // kFleetScenario runs its shards at [fleet] threads = 1.
+  const ScenarioResult result = run_scenario(parse_scenario(text, "test"));
+  EXPECT_TRUE(result.controlled);
+  ASSERT_EQ(result.cells.size(), 1u);
+  ASSERT_TRUE(result.cells[0].control.has_value());
+  EXPECT_GT(result.cells[0].control->updates, 0u);
+  EXPECT_GT(result.cells[0].control->shed_requests, 0u);
+
+  std::ostringstream one;
+  write_scenario_csv(result, one);
+  EXPECT_EQ(one.str(), scenario_csv(text, 3));
+  EXPECT_NE(one.str().find(",control_updates,control_shed,control_h_scaled,"
+                           "control_hot_grows,control_hot_shrinks,"
+                           "control_epoch_scaled\n"),
+            std::string::npos);
+}
+
+TEST(FleetControl, ShardsConserveRequests) {
+  const auto counter = [](const SimResult& r, const char* name) {
+    const auto it = r.counters.find(name);
+    return it == r.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const auto controlled = [](unsigned threads) {
+    FleetConfig fleet = small_fleet(8, threads);
+    // Short epochs give every shard several control updates, and the
+    // admission window is tight enough that each day's bursts shed.
+    fleet.shard.epoch = Seconds{20.0};
+    fleet.shard.control.enabled = true;
+    fleet.shard.control.target_rt_ms = 25.0;
+    fleet.shard.control.admit_window_s = 0.05;
+    return fleet;
+  };
+  const FleetConfig fleet = controlled(1);
+  const FleetResult serial = run_fleet(fleet);
+  ASSERT_EQ(serial.shards.size(), 8u);
+  std::uint64_t shed_total = 0;
+  for (std::uint32_t s = 0; s < fleet.shards; ++s) {
+    const SimResult& shard = serial.shards[s];
+    const std::uint64_t shed = counter(shard, "control.shed_requests");
+    shed_total += shed;
+    // Served + shed + lost == produced, shard by shard.
+    EXPECT_EQ(shard.user_requests + shed + counter(shard, "sim.requests_lost"),
+              fleet_shard_workload(fleet, s).request_count)
+        << "shard " << s;
+  }
+  EXPECT_GT(shed_total, 0u);
+  EXPECT_EQ(counter(serial.merged, "control.shed_requests"), shed_total);
+
+  const FleetResult parallel = run_fleet(controlled(4));
+  expect_identical(serial.merged, parallel.merged);
+}
+
 TEST(FleetScenario, RejectsNonSyntheticWorkloads) {
   const std::string text =
       "[scenario]\nname = bad\n"

@@ -6,6 +6,7 @@
 // benches that moved onto the scenario library.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,99 @@ TEST(ScenarioGolden, EngineCellsMatchCommittedHashes) {
 #if PR_GOLDEN_HASHES
     EXPECT_EQ(golden::fnv1a(pr::to_json(cell.report)), cells[i].report)
         << "cell " << i << " report hash drifted";
+#endif
+  }
+}
+
+// Fleet cells folded across shards: the merged CSV and each cell's report
+// JSON pinned by committed hashes, so a change to the fleet path (shard
+// seeds, hazard plans, the fault/redundancy fold) cannot hide behind the
+// threads=1 == threads=N comparisons alone.
+constexpr const char* kFleetIni = R"([scenario]
+name = fleet_test
+threads = 1
+seeds = 42
+
+[system]
+disks = 4
+epoch = 300
+
+[fleet]
+shards = 4
+threads = 1
+
+[workload light]
+preset = wc98-light
+files = 100
+requests = 8000
+
+[policy read]
+label = READ
+)";
+
+ScenarioSpec declustered_fleet_kill() {
+  ScenarioSpec spec;
+  spec.name = "fleet_redundancy";
+  spec.threads = 1;
+  spec.disks = {4};
+  spec.epochs = {600.0};
+  ScenarioWorkload w;
+  w.files = 60;
+  w.requests = 2'000;
+  spec.workloads.push_back(w);
+  spec.policies.push_back({"read", "READ", {}});
+  spec.fault.enabled = true;
+  spec.fault.afr = 0.3;
+  spec.fault.rate_scales = {0.0};
+  spec.fault.kill_disks = {1};
+  spec.fault.kill_at_s = {60.0};
+  spec.redundancy.enabled = true;
+  spec.redundancy.scheme = "declustered";
+  spec.redundancy.group = 3;
+  spec.redundancy.rebuild_mbps = 8.0;
+  spec.fleet.enabled = true;
+  spec.fleet.shards = 3;
+  return spec;
+}
+
+TEST(ScenarioGolden, FleetCellsMatchCommittedHashes) {
+  const std::string faulted = std::string(kFleetIni) +
+                              "\n[fault]\nseed = 7\nafr = 0.08\n"
+                              "rate_scale = 0,200000\nmttr = 60\n";
+  const std::string raid5 = std::string(kFleetIni) +
+                            "\n[fault]\nseed = 11\nafr = 0.08\n"
+                            "rate_scale = 4000000\nmttr = 20\n"
+                            "\n[redundancy]\nscheme = raid5\ngroup = 4\n"
+                            "rebuild_mbps = 0.7\n";
+  struct Golden {
+    const char* name;
+    ScenarioSpec spec;
+    std::uint64_t csv;
+    std::vector<std::uint64_t> reports;
+  };
+  const Golden goldens[] = {
+      {"fleet", parse_scenario(kFleetIni, "fleet.ini"),
+       13030823462438284265ULL, {6079858716904413009ULL}},
+      {"fleet x fault", parse_scenario(faulted, "fault.ini"),
+       15434748974968184425ULL,
+       {6079858716904413009ULL, 6079858716904413009ULL}},
+      {"fleet x declustered kill", declustered_fleet_kill(),
+       13780829533799534243ULL, {10617904236071125829ULL}},
+      {"fleet x raid5 hazard", parse_scenario(raid5, "raid5.ini"),
+       13285019296289986944ULL, {8114704735990552554ULL}},
+  };
+  for (const Golden& g : goldens) {
+    const ScenarioResult result = run_scenario(g.spec);
+    std::ostringstream csv;
+    write_scenario_csv(result, csv);
+    ASSERT_EQ(result.cells.size(), g.reports.size()) << g.name;
+#if PR_GOLDEN_HASHES
+    EXPECT_EQ(golden::fnv1a(csv.str()), g.csv) << g.name << " CSV drifted";
+    for (std::size_t i = 0; i < g.reports.size(); ++i) {
+      EXPECT_EQ(golden::fnv1a(pr::to_json(result.cells[i].report)),
+                g.reports[i])
+          << g.name << " cell " << i << " report hash drifted";
+    }
 #endif
   }
 }
