@@ -583,6 +583,73 @@ TEST(RedundancySim, StripedFaultedRunsMatchCommittedHashes) {
   }
 }
 
+TEST(RedundancySim, AllFeaturesRunMatchesCommittedHashes) {
+  // Faults, RAID-5 reconstruction, the paced rebuild and all three
+  // controllers with admission shedding, in one single-array run — the
+  // one golden where every feature interleaves with the others at the
+  // same instants. The plan starts a rebuild and cuts it short (abort),
+  // overlaps two failures inside one parity group (data loss, lost
+  // requests) and slows a disk of the other group.
+  auto wc = worldcup98_light_config(17);
+  wc.request_count = 40'000;
+  const auto w = generate_workload(wc);
+
+  const FaultPlan plan = FaultPlan::from_events({
+      {Seconds{150.0}, 1, FaultKind::kFail},
+      {Seconds{200.0}, 1, FaultKind::kRecover},
+      {Seconds{400.0}, 5, FaultKind::kSlowdown, 3.0},
+      {Seconds{700.0}, 2, FaultKind::kFail},
+      {Seconds{760.0}, 3, FaultKind::kFail},
+      {Seconds{900.0}, 3, FaultKind::kRecover},
+      {Seconds{1200.0}, 5, FaultKind::kSlowdown, 1.0},
+  });
+
+  const auto run_once = [&]() {
+    SystemConfig cfg;
+    cfg.sim.disk_count = 8;
+    cfg.sim.epoch = Seconds{120.0};
+    cfg.sim.redundancy.kind = RedundancyKind::kRaid5;
+    cfg.sim.redundancy.group = 4;
+    cfg.sim.redundancy.rebuild_mbps = 0.05;
+    cfg.sim.redundancy.rebuild_chunk = 256 * kKiB;
+    cfg.sim.control.enabled = true;
+    cfg.sim.control.target_rt_ms = 20.0;
+    cfg.sim.control.energy_budget_w = 120.0;
+    cfg.sim.control.adapt_epoch = true;
+    cfg.sim.control.admit_window_s = 0.3;
+    std::ostringstream out;
+    JsonlTraceWriter writer(out);
+    SystemReport report = SimulationSession(cfg)
+                              .with_workload(w)
+                              .with_policy("online-read")
+                              .with_observer(writer)
+                              .with_faults(plan)
+                              .run();
+    return std::pair{out.str(), std::move(report.sim)};
+  };
+
+  const auto [text, sim] = run_once();
+  const auto& c = sim.counters;
+  for (const char* name :
+       {"sim.requests_reconstructed", "sim.requests_lost",
+        "sim.requests_slowed", "redundancy.rebuild_steps",
+        "redundancy.rebuilds_completed", "redundancy.rebuilds_aborted",
+        "redundancy.data_loss_events", "control.shed_requests",
+        "control.h_scaled", "control.hot_grows", "control.epoch_scaled"}) {
+    EXPECT_GT(c.at(name), 0u) << name;
+  }
+  EXPECT_EQ(sim.user_requests + c.at("control.shed_requests") +
+                c.at("sim.requests_lost"),
+            w.trace.requests.size());
+  EXPECT_EQ(text, run_once().first);
+#if PR_GOLDEN_HASHES
+  EXPECT_EQ(golden::fnv1a(text), 10448099811841118965ULL)
+      << "JSONL stream hash drifted";
+  EXPECT_EQ(golden::fnv1a(golden::dump_counters(c)), 15474302293789903865ULL)
+      << "counter dump hash drifted";
+#endif
+}
+
 // ------------------------------------------------------------ MTTDL closure
 
 TEST(MttdlAgreement, ScoresObservedAgainstClosedForm) {
