@@ -1,7 +1,6 @@
 #include "control/zipf_estimator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <stdexcept>
 
@@ -28,33 +27,15 @@ ZipfEstimate ZipfEstimator::estimate(
   }
   out.active_files = rank_scratch_.size();
 
-  // α fit mirrors compute_trace_stats: least-squares slope of log(count)
-  // on log(rank) over the top `fit_ranks_` active counts. Selection by
-  // value only — the multiset determines the ranked prefix regardless of
-  // file-id order, so the estimate is stable under any counts layout.
+  // α is compute_trace_stats' fit over the top `fit_ranks_` active
+  // counts. Selection by value only — the multiset determines the ranked
+  // prefix regardless of file-id order, so the estimate is stable under
+  // any counts layout.
   std::size_t n = rank_scratch_.size();
   if (fit_ranks_ > 0) n = std::min(n, fit_ranks_);
-  if (n >= 3) {
-    std::partial_sort(rank_scratch_.begin(), rank_scratch_.begin() + n,
-                      rank_scratch_.end(), std::greater<>());
-    double sx = 0.0;
-    double sy = 0.0;
-    double sxx = 0.0;
-    double sxy = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x = std::log(static_cast<double>(i + 1));
-      const double y = std::log(static_cast<double>(rank_scratch_[i]));
-      sx += x;
-      sy += y;
-      sxx += x * x;
-      sxy += x * y;
-    }
-    const auto dn = static_cast<double>(n);
-    const double denom = dn * sxx - sx * sx;
-    if (denom > 0.0) {
-      out.alpha = -(dn * sxy - sx * sy) / denom;
-    }
-  }
+  std::partial_sort(rank_scratch_.begin(), rank_scratch_.begin() + n,
+                    rank_scratch_.end(), std::greater<>());
+  out.alpha = fit_zipf_alpha(std::span(rank_scratch_).first(n));
   return out;
 }
 

@@ -64,35 +64,15 @@ struct LineContext {
   std::size_t line = 0;
 };
 
-std::vector<double> parse_double_list(std::string_view value,
-                                      std::string_view key,
-                                      const LineContext& at) {
-  std::vector<double> out;
+/// A comma list, each item parsed by `parse_item` (util/parse.h).
+template <typename T>
+std::vector<T> parse_list(std::string_view value, std::string_view key,
+                          const LineContext& at,
+                          T (*parse_item)(std::string_view, std::string_view)) {
+  std::vector<T> out;
   for (const std::string& item : split_list(value)) {
     if (item.empty()) fail_at(at.source, at.line, "empty item in list");
-    out.push_back(parse_double(item, key));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> parse_u64_list(std::string_view value,
-                                          std::string_view key,
-                                          const LineContext& at) {
-  std::vector<std::uint64_t> out;
-  for (const std::string& item : split_list(value)) {
-    if (item.empty()) fail_at(at.source, at.line, "empty item in list");
-    out.push_back(parse_u64(item, key));
-  }
-  return out;
-}
-
-std::vector<std::size_t> parse_size_list(std::string_view value,
-                                         std::string_view key,
-                                         const LineContext& at) {
-  std::vector<std::size_t> out;
-  for (const std::string& item : split_list(value)) {
-    if (item.empty()) fail_at(at.source, at.line, "empty item in list");
-    out.push_back(parse_size(item, key));
+    out.push_back(parse_item(item, key));
   }
   return out;
 }
@@ -209,7 +189,7 @@ ScenarioSpec parse_scenario(std::string_view text, std::string_view source) {
         } else if (key == "threads") {
           spec.threads = static_cast<unsigned>(parse_u64(value, key));
         } else if (key == "seeds" || key == "seed") {
-          spec.seeds = parse_u64_list(value, key, at);
+          spec.seeds = parse_list(value, key, at, parse_u64);
         } else {
           fail_at(source, line_no,
                   "unknown key '" + key + "' in [scenario]; valid: name, threads, seeds");
@@ -217,9 +197,9 @@ ScenarioSpec parse_scenario(std::string_view text, std::string_view source) {
         break;
       case Section::kSystem:
         if (key == "disks") {
-          spec.disks = parse_size_list(value, key, at);
+          spec.disks = parse_list(value, key, at, parse_size);
         } else if (key == "epoch") {
-          spec.epochs = parse_double_list(value, key, at);
+          spec.epochs = parse_list(value, key, at, parse_double);
         } else if (key == "positioned") {
           spec.positioned = parse_bool(value, key);
         } else {
@@ -248,7 +228,7 @@ ScenarioSpec parse_scenario(std::string_view text, std::string_view source) {
         } else if (key == "diurnal_depth") {
           w.diurnal_depth = parse_double(value, key);
         } else if (key == "load") {
-          w.loads = parse_double_list(value, key, at);
+          w.loads = parse_list(value, key, at, parse_double);
         } else {
           fail_at(source, line_no,
                   "unknown key '" + key +
@@ -275,13 +255,13 @@ ScenarioSpec parse_scenario(std::string_view text, std::string_view source) {
         } else if (key == "afr") {
           spec.fault.afr = parse_double(value, key);
         } else if (key == "rate_scale") {
-          spec.fault.rate_scales = parse_double_list(value, key, at);
+          spec.fault.rate_scales = parse_list(value, key, at, parse_double);
         } else if (key == "mttr") {
           spec.fault.mttr_s = parse_double(value, key);
         } else if (key == "kill_disk") {
-          spec.fault.kill_disks = parse_size_list(value, key, at);
+          spec.fault.kill_disks = parse_list(value, key, at, parse_size);
         } else if (key == "kill_at") {
-          spec.fault.kill_at_s = parse_double_list(value, key, at);
+          spec.fault.kill_at_s = parse_list(value, key, at, parse_double);
         } else {
           fail_at(source, line_no,
                   "unknown key '" + key +

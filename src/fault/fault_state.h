@@ -1,9 +1,9 @@
-// fault_state.h — the live per-disk fault flags the ArraySimulation seam
-// consults before dispatch. The simulator owns one FaultState, applies
+// fault_state.h — the live per-disk fault flags. ArrayContext holds one;
+// the simulator's FaultInjector (sim/fault_injector.h) sizes it, applies
 // FaultPlan events to it in time order, and checks failed()/slowdown()
-// when routing; redundancy schemes (redundancy/scheme.h) see it through
-// ArrayContext::disk_failed() / disk_slowdown() to pick live copies or
-// surviving stripe units.
+// when routing. Redundancy schemes (redundancy/scheme.h) see it through
+// ArrayContext::disk_failed() / disk_slowdown(). An unsized state (a
+// fault-free run) answers every disk live at nominal speed.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,6 @@ class FaultState {
     fail_since_.assign(disk_count, Seconds{0.0});
     slowdown_.assign(disk_count, 1.0);
   }
-
-  [[nodiscard]] std::size_t disk_count() const { return failed_.size(); }
 
   [[nodiscard]] bool failed(DiskId d) const {
     return d < failed_.size() && failed_[d] != 0;

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <locale>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "util/fmt.h"
 
@@ -136,21 +137,31 @@ void TimeSeriesRecorder::write_csv(std::ostream& out) const {
   out << "window,start_s,disk,requests,bytes,busy_s,utilization,energy_j,"
          "max_backlog_s,transitions_up,transitions_down,high_speed_fraction,"
          "migrations_in,migrations_out,degraded,lost\n";
-  // Floats go through the locale-independent formatter; the classic
-  // locale keeps the integer fields free of grouping separators.
-  out.imbue(std::locale::classic());
-  const auto full = [](double v) { return format_double(v, 17); };
+  // Every field goes through util/fmt, so the caller's stream locale is
+  // never consulted (nor changed).
+  std::string row;
+  const auto write_row = [&](const auto&... fields) {
+    row.clear();
+    const auto field = [&row](const auto& v) {
+      if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
+        append_double(row, v, 17);
+      } else {
+        append_uint(row, v);
+      }
+      row += ',';
+    };
+    (field(fields), ...);
+    row.back() = '\n';
+    out.write(row.data(), static_cast<std::streamsize>(row.size()));
+  };
   for (std::size_t w = 0; w < windows_.size(); ++w) {
     for (DiskId d = 0; d < windows_[w].size(); ++d) {
       const WindowSample& s = windows_[w][d];
-      out << w << ',' << full(window_start(w).value()) << ',' << d << ','
-          << s.requests << ',' << s.bytes << ',' << full(s.busy.value())
-          << ',' << full(s.utilization(window_)) << ','
-          << full(s.energy.value()) << ',' << full(s.max_backlog.value())
-          << ',' << s.transitions_up << ',' << s.transitions_down << ','
-          << full(s.high_speed_fraction(window_)) << ',' << s.migrations_in
-          << ',' << s.migrations_out << ',' << s.degraded_requests << ','
-          << s.lost_requests << '\n';
+      write_row(w, window_start(w).value(), d, s.requests, s.bytes,
+                s.busy.value(), s.utilization(window_), s.energy.value(),
+                s.max_backlog.value(), s.transitions_up, s.transitions_down,
+                s.high_speed_fraction(window_), s.migrations_in,
+                s.migrations_out, s.degraded_requests, s.lost_requests);
     }
   }
 }

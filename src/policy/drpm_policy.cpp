@@ -23,14 +23,7 @@ void DrpmPolicy::initialize(ArrayContext& ctx) {
     dpm.spin_up_backlog = config_.promotion_backlog;
     ctx.set_dpm(d, dpm);
   }
-  const auto order = ctx.files().ids_by_size_ascending();
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ctx.place(order[i], static_cast<DiskId>(i % ctx.disk_count()));
-  }
-}
-
-DiskId DrpmPolicy::route(ArrayContext& ctx, const Request& req) {
-  return ctx.location(req.file);
+  ctx.place_round_robin();
 }
 
 }  // namespace pr

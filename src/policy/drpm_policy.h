@@ -41,7 +41,6 @@ class DrpmPolicy final : public Policy {
   }
 
   void initialize(ArrayContext& ctx) override;
-  DiskId route(ArrayContext& ctx, const Request& req) override;
 
  private:
   DrpmConfig config_;

@@ -25,14 +25,7 @@ void HibernatorPolicy::initialize(ArrayContext& ctx) {
     // boundaries (the whole point of coarse granularity).
     ctx.set_dpm(d, DpmConfig{});
   }
-  const auto order = ctx.files().ids_by_size_ascending();
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ctx.place(order[i], static_cast<DiskId>(i % ctx.disk_count()));
-  }
-}
-
-DiskId HibernatorPolicy::route(ArrayContext& ctx, const Request& req) {
-  return ctx.location(req.file);
+  ctx.place_round_robin();
 }
 
 void HibernatorPolicy::after_serve(ArrayContext& ctx, const Request& req,

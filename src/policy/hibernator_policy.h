@@ -42,7 +42,6 @@ class HibernatorPolicy final : public Policy {
   [[nodiscard]] std::string name() const override { return "Hibernator"; }
 
   void initialize(ArrayContext& ctx) override;
-  DiskId route(ArrayContext& ctx, const Request& req) override;
   void after_serve(ArrayContext& ctx, const Request& req, DiskId d) override;
   void on_epoch(ArrayContext& ctx, Seconds now) override;
 

@@ -48,12 +48,7 @@ void MaidPolicy::initialize(ArrayContext& ctx) {
 
   // Permanent copies round-robin over the data disks (size order, like the
   // other policies' initial layouts).
-  const auto order = ctx.files().ids_by_size_ascending();
-  const std::size_t data_disks = n - cache_disks_;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ctx.place(order[i],
-              static_cast<DiskId>(cache_disks_ + i % data_disks));
-  }
+  ctx.place_round_robin(static_cast<DiskId>(cache_disks_));
 }
 
 DiskId MaidPolicy::route(ArrayContext& ctx, const Request& req) {

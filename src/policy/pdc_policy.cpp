@@ -33,14 +33,7 @@ void PdcPolicy::initialize(ArrayContext& ctx) {
   // Initial layout: round-robin in size order (popularity unknown until
   // the first epoch's observations; PDC's own paper starts from a
   // conventional striped/spread layout).
-  const auto order = ctx.files().ids_by_size_ascending();
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ctx.place(order[i], static_cast<DiskId>(i % ctx.disk_count()));
-  }
-}
-
-DiskId PdcPolicy::route(ArrayContext& ctx, const Request& req) {
-  return ctx.location(req.file);
+  ctx.place_round_robin();
 }
 
 double PdcPolicy::load_fraction(const ArrayContext& ctx, Bytes bytes,

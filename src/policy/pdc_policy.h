@@ -45,7 +45,6 @@ class PdcPolicy final : public Policy {
   [[nodiscard]] std::string name() const override { return "PDC"; }
 
   void initialize(ArrayContext& ctx) override;
-  DiskId route(ArrayContext& ctx, const Request& req) override;
   void on_epoch(ArrayContext& ctx, Seconds now) override;
 
   [[nodiscard]] std::uint64_t epoch_migrations() const {

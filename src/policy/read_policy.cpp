@@ -90,10 +90,6 @@ void ReadPolicy::initialize(ArrayContext& ctx) {
   }
 }
 
-DiskId ReadPolicy::route(ArrayContext& ctx, const Request& req) {
-  return ctx.location(req.file);
-}
-
 ReadPolicy::RebalanceCounts ReadPolicy::rebalance(
     ArrayContext& ctx, const std::vector<std::uint64_t>& counts,
     std::size_t* popular_cut) {

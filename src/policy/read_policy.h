@@ -52,7 +52,6 @@ class ReadPolicy : public Policy {
   [[nodiscard]] std::string name() const override { return "READ"; }
 
   void initialize(ArrayContext& ctx) override;
-  DiskId route(ArrayContext& ctx, const Request& req) override;
   void on_epoch(ArrayContext& ctx, Seconds now) override;
   bool allow_spin_down(ArrayContext& ctx, DiskId d, Seconds now) override;
 

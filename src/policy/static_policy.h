@@ -16,18 +16,11 @@ class StaticPolicy final : public Policy {
   [[nodiscard]] std::string name() const override { return "Static"; }
 
   void initialize(ArrayContext& ctx) override {
-    const auto order = ctx.files().ids_by_size_ascending();
     for (DiskId d = 0; d < ctx.disk_count(); ++d) {
       ctx.set_initial_speed(d, DiskSpeed::kHigh);
       ctx.set_dpm(d, DpmConfig{});  // no spin-downs, no spin-ups
     }
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      ctx.place(order[i], static_cast<DiskId>(i % ctx.disk_count()));
-    }
-  }
-
-  DiskId route(ArrayContext& ctx, const Request& req) override {
-    return ctx.location(req.file);
+    ctx.place_round_robin();
   }
 };
 

@@ -22,10 +22,6 @@ void StripedReadPolicy::initialize(ArrayContext& ctx) {
   }
 }
 
-DiskId StripedReadPolicy::route(ArrayContext& ctx, const Request& req) {
-  return base_.route(ctx, req);
-}
-
 std::vector<StripeChunk> StripedReadPolicy::stripe(ArrayContext& ctx,
                                                    const Request& req) {
   if (!striped_file_[req.file]) {

@@ -37,7 +37,6 @@ class StripedReadPolicy final : public Policy {
   [[nodiscard]] bool striped() const override { return true; }
 
   void initialize(ArrayContext& ctx) override;
-  DiskId route(ArrayContext& ctx, const Request& req) override;
   std::vector<StripeChunk> stripe(ArrayContext& ctx,
                                   const Request& req) override;
   void on_epoch(ArrayContext& ctx, Seconds now) override;

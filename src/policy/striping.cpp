@@ -18,14 +18,7 @@ void StripedStaticPolicy::initialize(ArrayContext& ctx) {
   }
   // "Placement" records the disk of the first stripe unit; the rest of
   // the file wraps round-robin from there.
-  const auto order = ctx.files().ids_by_size_ascending();
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ctx.place(order[i], static_cast<DiskId>(i % ctx.disk_count()));
-  }
-}
-
-DiskId StripedStaticPolicy::route(ArrayContext& ctx, const Request& req) {
-  return ctx.location(req.file);
+  ctx.place_round_robin();
 }
 
 std::vector<StripeChunk> StripedStaticPolicy::chunks_for(

@@ -32,7 +32,6 @@ class StripedStaticPolicy final : public Policy {
   [[nodiscard]] bool striped() const override { return true; }
 
   void initialize(ArrayContext& ctx) override;
-  DiskId route(ArrayContext& ctx, const Request& req) override;
   std::vector<StripeChunk> stripe(ArrayContext& ctx,
                                   const Request& req) override;
   /// RAID-0's honest answer on the redundancy seam: nothing protects the

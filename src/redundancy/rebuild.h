@@ -13,9 +13,10 @@
 //
 // The scheduler itself is pure bookkeeping (which disks are rebuilding,
 // how far along, when the next step falls due) so it stays deterministic
-// and trivially testable; all I/O, counters and events live in
-// ArraySimulator. Several disks may rebuild concurrently (distinct
-// groups, or a declustered layout that survived by luck); steps fall due
+// and trivially testable; the simulator's ParityEngine
+// (sim/fault_injector.h) owns it and does all the I/O, counters and
+// events. Several disks may rebuild concurrently (distinct groups, or a
+// declustered layout that survived by luck); steps fall due
 // earliest-first, ties broken by lowest disk id.
 #pragma once
 

@@ -23,9 +23,12 @@
 // name the source disks for each rebuild step and decide which disk pairs
 // constitute data loss when failures overlap.
 //
-// Resolution order in ArraySimulator: a parity scheme configured via
+// Resolution order in the simulator: a parity scheme configured via
 // SimConfig::redundancy wins; otherwise the policy's own scheme (replica /
-// cache copies); otherwise degraded requests are lost.
+// cache copies); otherwise degraded requests are lost. The FaultInjector
+// (sim/fault_injector.h) consults the resolved scheme; a parity scheme
+// is driven by its ParityEngine, so it must answer kReconstruct or
+// kLost, never kRedirect.
 #pragma once
 
 #include <cstdint>

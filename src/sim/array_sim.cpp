@@ -5,11 +5,10 @@
 #include <span>
 #include <stdexcept>
 
-#include "control/control_loop.h"
-#include "redundancy/rebuild.h"
 #include "redundancy/scheme.h"
+#include "sim/controller.h"
+#include "sim/fault_injector.h"
 #include "util/contracts.h"
-#include "util/log.h"
 
 namespace pr {
 
@@ -60,6 +59,17 @@ void ArrayContext::place(FileId f, DiskId d) {
   assign_cylinders(f, d);
 }
 
+void ArrayContext::place_round_robin(DiskId first) {
+  if (first >= disks_.size()) {
+    throw std::invalid_argument("ArrayContext::place_round_robin: bad disk");
+  }
+  const std::vector<FileId> order = files_->ids_by_size_ascending();
+  const std::size_t span = disks_.size() - first;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    place(order[i], static_cast<DiskId>(first + i % span));
+  }
+}
+
 void ArrayContext::migrate(FileId f, DiskId to) {
   if (f >= placement_.size() || to >= disks_.size()) {
     throw std::invalid_argument("ArrayContext::migrate: bad arguments");
@@ -70,23 +80,19 @@ void ArrayContext::migrate(FileId f, DiskId to) {
   }
   if (from == to) return;
   const Bytes bytes = files_->by_id(f).size;
-  Joules energy_before{0.0};
-  if (observer_ != nullptr) {
-    energy_before = disks_[from].ledger().energy + disks_[to].ledger().energy;
+  const std::array<DiskId, 2> pair{from, to};
+  const Joules energy_before = observed_energy(pair);
+  for (const DiskId d : pair) {
+    disks_[d].serve(now_, bytes, /*internal=*/true);
+    cancel_idle_check(d);
   }
-  disks_[from].serve(now_, bytes, /*internal=*/true);
-  disks_[to].serve(now_, bytes, /*internal=*/true);
-  cancel_idle_check(from);
-  cancel_idle_check(to);
   placement_[f] = to;
   assign_cylinders(f, to);
   ++migrations_;
   migration_bytes_ += bytes;
   if (observer_ != nullptr) {
-    const Joules energy =
-        disks_[from].ledger().energy + disks_[to].ledger().energy -
-        energy_before;
-    observer_->on_migration(MigrationEvent{now_, f, from, to, bytes, energy});
+    observer_->on_migration(MigrationEvent{
+        now_, f, from, to, bytes, observed_energy(pair) - energy_before});
   }
 }
 
@@ -94,18 +100,18 @@ void ArrayContext::background_copy(DiskId from, DiskId to, Bytes bytes) {
   if (from >= disks_.size() || to >= disks_.size()) {
     throw std::invalid_argument("ArrayContext::background_copy: bad disk");
   }
-  Joules energy_before{0.0};
-  if (observer_ != nullptr) {
-    energy_before = disks_[from].ledger().energy;
-    if (from != to) energy_before += disks_[to].ledger().energy;
+  const std::array<DiskId, 2> pair{from, to};
+  const std::span<const DiskId> disks(pair.data(), from == to ? 1 : 2);
+  const Joules energy_before = observed_energy(disks);
+  for (const DiskId d : disks) {
+    disks_[d].serve(now_, bytes, /*internal=*/true);
+    cancel_idle_check(d);
   }
-  disks_[from].serve(now_, bytes, /*internal=*/true);
-  if (from != to) disks_[to].serve(now_, bytes, /*internal=*/true);
-  cancel_idle_check(from);
-  if (from != to) cancel_idle_check(to);
   if (observer_ != nullptr) {
-    Joules energy = disks_[from].ledger().energy - energy_before;
-    if (from != to) energy += disks_[to].ledger().energy;
+    // (source − before) + target, not (source + target) − before: the two
+    // round differently, and the JSONL goldens pin this one.
+    const Joules energy = observed_energy(disks.first(1)) - energy_before +
+                          observed_energy(disks.subspan(1));
     observer_->on_background_copy(
         BackgroundCopyEvent{now_, from, to, bytes, energy});
   }
@@ -122,26 +128,35 @@ Seconds ArrayContext::request_transition(DiskId d, DiskSpeed target) {
   if (d >= disks_.size()) {
     throw std::invalid_argument("ArrayContext::request_transition: bad disk");
   }
-  const DiskSpeed from = disks_[d].speed();
+  return transition(d, target, now_, TransitionCause::kPolicy,
+                    h_policy_transitions_);
+}
+
+Seconds ArrayContext::transition(DiskId d, DiskSpeed target, Seconds at,
+                                 TransitionCause cause,
+                                 CounterRegistry::Handle counter) {
+  Disk& disk = disks_[d];
+  const DiskSpeed from = disk.speed();
   const Joules energy_before =
-      observer_ != nullptr ? disks_[d].ledger().energy : Joules{0.0};
-  const Seconds finish = disks_[d].transition(now_, target);
-  if (from != target) {
-    counters_.add(h_policy_transitions_);
-    emit_transition(d, from, target, now_, finish, TransitionCause::kPolicy,
-                    disks_[d].ledger().energy - energy_before);
+      observer_ != nullptr ? disk.ledger().energy : Joules{0.0};
+  const Seconds finish = disk.transition(at, target);
+  if (from == target) return finish;
+  counters_.add(counter);
+  if (observer_ != nullptr) {
+    observer_->on_speed_transition(SpeedTransitionEvent{
+        at, finish, d, from, target, cause,
+        disk.ledger().energy - energy_before});
+    observer_->on_disk_state_change(
+        DiskStateChangeEvent{at, d, power_state(from), power_state(target)});
   }
   return finish;
 }
 
-void ArrayContext::emit_transition(DiskId d, DiskSpeed from, DiskSpeed to,
-                                   Seconds at, Seconds finish,
-                                   TransitionCause cause, Joules energy) {
-  if (observer_ == nullptr || from == to) return;
-  observer_->on_speed_transition(
-      SpeedTransitionEvent{at, finish, d, from, to, cause, energy});
-  observer_->on_disk_state_change(
-      DiskStateChangeEvent{at, d, power_state(from), power_state(to)});
+Joules ArrayContext::observed_energy(std::span<const DiskId> disks) const {
+  Joules sum{0.0};
+  if (observer_ == nullptr) return sum;
+  for (const DiskId d : disks) sum += disks_[d].ledger().energy;
+  return sum;
 }
 
 void ArrayContext::set_dpm(DiskId d, const DpmConfig& config) {
@@ -171,21 +186,33 @@ void ArrayContext::schedule_idle_check(DiskId d, Seconds completion) {
 
 void ArrayContext::cancel_idle_check(DiskId d) { idle_timer_.disarm(d); }
 
+void ArrayContext::require_disks(std::span<const StripeChunk> chunks) const {
+  for (const StripeChunk& chunk : chunks) {
+    if (chunk.disk >= disks_.size()) {
+      throw std::logic_error("policy routed to nonexistent disk");
+    }
+  }
+}
+
 /// Unit of request pull from the source (see RequestSource::next_batch).
 /// Large enough to amortize the virtual dispatch, small enough that a
 /// batch of Requests stays resident in L1.
 constexpr std::size_t kRequestBatch = 256;
 
-/// Internal driver; separated from the public function so the context can
-/// stay a friend-only construct. Defined in this TU only — the header
-/// forward-declares it solely for the friendship grant.
+/// The request loop: pull, route/stripe, serve, the idle timer, epochs
+/// and finalize. A live feature's component is called at its own point:
+/// Controller::admit then FaultInjector::reroute at dispatch,
+/// chase_slowdown per chunk serve, finish_request and Controller::record
+/// after the serves, FaultInjector::next_time/fire while advancing time,
+/// Controller::close_epoch at each boundary. Defined in this TU only —
+/// the header names it solely for the friendship grant.
 class ArraySimulator {
  public:
   ArraySimulator(const SimConfig& config, const FileSet& files,
                  RequestSource& source, Policy& policy, SimObserver* observer,
                  const FaultPlan* faults)
-      : config_(config), files_(files), source_(source), policy_(policy),
-        ctx_(config, files), faults_(faults), control_(config.control),
+      : source_(source), policy_(policy), ctx_(config, files),
+        owned_scheme_(make_scheme(config.redundancy, config.disk_count)),
         epoch_len_(config.epoch),
         h_epochs_(ctx_.counters_.intern("sim.epochs")),
         h_idle_checks_(ctx_.counters_.intern("sim.idle_checks")),
@@ -195,65 +222,17 @@ class ArraySimulator {
         h_spin_vetoed_(ctx_.counters_.intern("sim.spin_downs_vetoed")),
         h_spin_ups_(ctx_.counters_.intern("sim.spin_ups_to_serve")) {
     ctx_.observer_ = observer;
-    // Fault counters are interned only when a non-empty plan is attached:
-    // CounterRegistry snapshots include zero-valued registered counters,
-    // so interning unconditionally would change fault-free reports.
-    ctx_.faults_on_ = faults != nullptr && !faults->empty();
-    if (ctx_.faults_on_) {
-      ctx_.fault_.resize(config.disk_count);
-      h_faults_ = ctx_.counters_.intern("sim.faults_injected");
-      h_recovers_ = ctx_.counters_.intern("sim.fault_recoveries");
-      h_slowdowns_ = ctx_.counters_.intern("sim.fault_slowdowns");
-      h_lost_ = ctx_.counters_.intern("sim.requests_lost");
-      h_redirected_ = ctx_.counters_.intern("sim.requests_degraded");
-      h_slowed_ = ctx_.counters_.intern("sim.requests_slowed");
-    }
     // Redundancy seam resolution: a parity scheme configured on the array
     // wins; otherwise the policy may expose its own copy set (replicas,
     // the MAID cache) as a scheme; otherwise degraded requests are lost.
     // The config scheme is built (and validated) even on fault-free runs
-    // so a bad config errors deterministically; the parity machinery and
-    // its counters arm only when the seam can actually fire — same
-    // zero-valued-counter reasoning as the fault counters above.
-    if (config.redundancy.kind != RedundancyKind::kNone) {
-      owned_scheme_ = make_scheme(config.redundancy, config.disk_count);
+    // so a bad config errors deterministically.
+    if (faults != nullptr && !faults->empty()) {
+      faults_.emplace(ctx_, *faults,
+                      owned_scheme_ != nullptr ? owned_scheme_.get()
+                                               : policy_.redundancy());
     }
-    scheme_ =
-        owned_scheme_ != nullptr ? owned_scheme_.get() : policy_.redundancy();
-    parity_on_ = ctx_.faults_on_ && scheme_ != nullptr && scheme_->parity();
-    if (parity_on_) {
-      h_reconstructed_ = ctx_.counters_.intern("sim.requests_reconstructed");
-      h_data_loss_ = ctx_.counters_.intern("redundancy.data_loss_events");
-      if (config.redundancy.rebuild) {
-        rebuild_on_ = true;
-        rebuild_.configure(config.redundancy.rebuild_mbps,
-                           config.redundancy.rebuild_chunk);
-        h_rebuild_steps_ = ctx_.counters_.intern("redundancy.rebuild_steps");
-        h_rebuild_wakeups_ =
-            ctx_.counters_.intern("redundancy.rebuild_wakeups");
-        h_rebuilds_started_ =
-            ctx_.counters_.intern("redundancy.rebuilds_started");
-        h_rebuilds_completed_ =
-            ctx_.counters_.intern("redundancy.rebuilds_completed");
-        h_rebuilds_aborted_ =
-            ctx_.counters_.intern("redundancy.rebuilds_aborted");
-      }
-    }
-    // Control counters arm only with the subsystem enabled — the same
-    // zero-valued-counter reasoning as the fault set above keeps every
-    // control-free report byte-identical. (The ControlLoop member itself
-    // is always constructed: a bad config errors deterministically even
-    // before the first epoch fires.)
-    control_on_ = config.control.enabled;
-    if (control_on_) {
-      shed_window_ = config.control.admit_window_s;
-      h_ctl_updates_ = ctx_.counters_.intern("control.updates");
-      h_ctl_shed_ = ctx_.counters_.intern("control.shed_requests");
-      h_ctl_h_scaled_ = ctx_.counters_.intern("control.h_scaled");
-      h_ctl_hot_grows_ = ctx_.counters_.intern("control.hot_grows");
-      h_ctl_hot_shrinks_ = ctx_.counters_.intern("control.hot_shrinks");
-      h_ctl_epoch_scaled_ = ctx_.counters_.intern("control.epoch_scaled");
-    }
+    if (config.control.enabled) control_.emplace(ctx_, policy_);
   }
 
   SimResult run() {
@@ -286,7 +265,7 @@ class ArraySimulator {
       if (any_requests && req.arrival < last_arrival) {
         throw std::invalid_argument("run_simulation: trace is not sorted");
       }
-      if (req.file == kInvalidFile || req.file >= files_.size()) {
+      if (req.file == kInvalidFile || req.file >= ctx_.files().size()) {
         throw std::invalid_argument(
             "run_simulation: trace references unknown file");
       }
@@ -306,8 +285,6 @@ class ArraySimulator {
       ++ctx_.epoch_requests_;
 
       if (obs != nullptr) pending_ = RequestCompleteEvent{};
-      request_slowed_ = false;
-      request_slowdown_ = 1.0;
 
       // One request path. A whole-file request is a one-chunk plan on the
       // routed disk; a striped policy's stripe() result is the many-chunk
@@ -315,77 +292,38 @@ class ArraySimulator {
       // and serve loop, and complete when the slowest chunk finishes.
       std::vector<StripeChunk> striped;
       StripeChunk whole;
-      std::span<const StripeChunk> chunks;
+      std::span<const StripeChunk> serves;
       if (policy_.striped()) {
         striped = policy_.stripe(ctx_, req);
         if (striped.empty()) {
           throw std::logic_error("striped policy produced no chunks");
         }
-        chunks = striped;
+        serves = striped;
       } else {
         whole = StripeChunk{policy_.route(ctx_, req), req.size};
-        chunks = {&whole, 1};
+        serves = {&whole, 1};
       }
-      require_disks(chunks);
-      DiskId primary = chunks.front().disk;
-      // Admission precedes fault handling: a shed request consumes no
-      // degraded-read planning and no service. The first chunk's disk
-      // stands in for the request's backlog.
-      if (control_on_ && !admit(req, primary)) continue;
-      std::span<const StripeChunk> serves = chunks;
-      if (ctx_.faults_on_ && touches_failed_disk(chunks)) {
-        if (!plan_degraded(req, chunks)) {
-          // No live source for some chunk: the request is recorded, not
-          // served — no response time sample, no completion event, no
-          // after_serve (the epoch popularity bump above stands: demand
-          // existed even if unmet).
-          ctx_.counters_.add(h_lost_);
-          if (obs != nullptr) {
-            obs->on_request_degraded(RequestDegradedEvent{
-                req.arrival, req.file, primary, primary,
-                DegradedOutcome::kLost, 1.0});
-          }
-          continue;
-        }
-        for (const auto& pd : planned_degrades_) {
-          emit_planned_degrade(req.arrival, req.file, pd);
-        }
-        // A redirected first chunk moves the request's primary disk (the
-        // completion event's disk and after_serve's argument) to the
-        // redirect target; a reconstructed one keeps the failed disk.
-        const PlannedDegrade& first = planned_degrades_.front();
-        if (first.intended == primary &&
-            first.outcome == DegradedOutcome::kRedirected) {
-          primary = first.served_by;
-        }
-        serves = plan_serves_;
-      }
+      ctx_.require_disks(serves);
+      // The first chunk's disk is the request's primary disk. Admission
+      // precedes fault handling, so a shed request plans no degraded read.
+      // A shed or lost request is not served, but its popularity bump
+      // above stands: the demand existed.
+      DiskId primary = serves.front().disk;
+      if (control_ && !control_->admit(req, primary)) continue;
+      if (faults_ && !faults_->reroute(req, serves, primary)) continue;
       Seconds completion{0.0};
       for (const StripeChunk& chunk : serves) {
         completion = std::max(completion, serve_on(chunk.disk, req.arrival,
                                                    chunk.bytes, req.file));
       }
-      const auto chunk_count = static_cast<std::uint32_t>(serves.size());
-      if (request_slowed_) {
-        ctx_.counters_.add(h_slowed_);
-        if (obs != nullptr) {
-          obs->on_request_degraded(RequestDegradedEvent{
-              req.arrival, req.file, primary, primary,
-              DegradedOutcome::kSlowed, request_slowdown_});
-        }
-      }
+      if (faults_) faults_->finish_request(req, primary);
       horizon = std::max(horizon, completion);
 
       const double rt = (completion - req.arrival).value();
       result_.response_time.add(rt);
       result_.response_time_sample.add(rt);
       ++result_.user_requests;
-      if (control_on_) {
-        // Per-epoch latency window for the control loop; arrival order,
-        // so the fold is deterministic.
-        ++ctl_epoch_served_;
-        ctl_epoch_rt_sum_ += rt;
-      }
+      if (control_) control_->record(rt);
 
       if (obs != nullptr) {
         pending_.arrival = req.arrival;
@@ -393,7 +331,7 @@ class ArraySimulator {
         pending_.file = req.file;
         pending_.disk = primary;
         pending_.bytes = req.size;
-        pending_.stripe_chunks = chunk_count;
+        pending_.stripe_chunks = static_cast<std::uint32_t>(serves.size());
         obs->on_request_complete(pending_);
       }
 
@@ -421,17 +359,6 @@ class ArraySimulator {
   }
 
  private:
-  /// A request's degraded chunk, planned by plan_degraded() and booked
-  /// (counter + events) only if the whole request survives.
-  struct PlannedDegrade {
-    DegradedOutcome outcome = DegradedOutcome::kLost;
-    DiskId intended = kInvalidDisk;
-    DiskId served_by = kInvalidDisk;
-    /// Reconstruction fan-out (kReconstructed only).
-    std::uint32_t sources = 0;
-    Bytes bytes = 0;
-  };
-
   /// Serve `bytes` of `file` on disk `d` at `arrival`, applying
   /// spin-up-to-serve, and remember the disk for idle-check arming.
   /// Returns completion.
@@ -457,255 +384,23 @@ class ArraySimulator {
           backlog_limit < kNeverTime &&
           disk.ready_time() - arrival > backlog_limit;
       if (promote_always || promote_on_load) {
-        const Joules spin_before =
-            obs != nullptr ? disk.ledger().energy : Joules{0.0};
-        const Seconds finish = disk.transition(arrival, DiskSpeed::kHigh);
-        ctx_.counters_.add(h_spin_ups_);
-        ctx_.emit_transition(d, DiskSpeed::kLow, DiskSpeed::kHigh, arrival,
-                             finish, TransitionCause::kSpinUpToServe,
-                             disk.ledger().energy - spin_before);
+        ctx_.transition(d, DiskSpeed::kHigh, arrival,
+                        TransitionCause::kSpinUpToServe, h_spin_ups_);
       }
     }
     Seconds completion =
         ctx_.positioned_io()
             ? disk.serve_positioned(arrival, bytes, ctx_.cylinder_of(file))
             : disk.serve(arrival, bytes);
-    if (ctx_.faults_on_) {
-      // Injected slowdown: the disk pays an extra internal transfer of
-      // (factor − 1) × bytes right behind the request (average-cost seek
-      // even in positional mode — degraded media, not head travel). The
-      // chaser sits inside the observer snapshot, so the request's energy
-      // and service-time deltas include it.
-      const double factor = ctx_.fault_.slowdown(d);
-      if (factor > 1.0) {
-        const auto extra = static_cast<Bytes>(
-            (factor - 1.0) * static_cast<double>(bytes));
-        if (extra > 0) {
-          completion = disk.serve(completion, extra, /*internal=*/true);
-          request_slowed_ = true;
-          request_slowdown_ = std::max(request_slowdown_, factor);
-        }
-      }
-    }
+    // The slowdown chaser sits inside the observer snapshot, so the
+    // request's energy and service-time deltas include it.
+    if (faults_) completion = faults_->chase_slowdown(d, completion, bytes);
     if (obs != nullptr) {
       pending_.service_time += disk.ledger().busy_time - busy_before;
       pending_.energy += disk.ledger().energy - energy_before;
     }
     touched_.push_back(d);
     return completion;
-  }
-
-  /// Every chunk must name a disk of the array; checked once, before
-  /// admission reads the first chunk's backlog.
-  void require_disks(std::span<const StripeChunk> chunks) const {
-    for (const StripeChunk& chunk : chunks) {
-      if (chunk.disk >= ctx_.disks_.size()) {
-        throw std::logic_error("policy routed to nonexistent disk");
-      }
-    }
-  }
-
-  [[nodiscard]] bool touches_failed_disk(
-      std::span<const StripeChunk> chunks) const {
-    return std::any_of(chunks.begin(), chunks.end(),
-                       [&](const StripeChunk& c) {
-                         return ctx_.fault_.failed(c.disk);
-                       });
-  }
-
-  /// The degraded-read planner: each chunk on a failed disk consults the
-  /// redundancy seam. A live copy redirects the chunk; parity replaces it
-  /// with costed reads of its bytes on the surviving stripe units (the
-  /// RAID rule: rebuild the lost unit from the rest of its stripe).
-  /// Without a scheme, or with RAID-0, the chunk — and so the whole
-  /// request — is lost. Fills plan_serves_ and planned_degrades_ and
-  /// returns false on the first lost chunk; nothing is booked here.
-  bool plan_degraded(const Request& req,
-                     std::span<const StripeChunk> chunks) {
-    plan_serves_.clear();
-    planned_degrades_.clear();
-    for (const StripeChunk& chunk : chunks) {
-      if (!ctx_.fault_.failed(chunk.disk)) {
-        plan_serves_.push_back(chunk);
-        continue;
-      }
-      scratch_reads_.clear();
-      DiskId redirect = kInvalidDisk;
-      const DegradedAction action =
-          scheme_ == nullptr
-              ? DegradedAction::kLost
-              : scheme_->degraded_read(ctx_, req.file, chunk.bytes, chunk.disk,
-                                       redirect, scratch_reads_);
-      if (action == DegradedAction::kRedirect && redirect != kInvalidDisk &&
-          redirect < ctx_.disks_.size() && !ctx_.fault_.failed(redirect)) {
-        plan_serves_.push_back(StripeChunk{redirect, chunk.bytes});
-        planned_degrades_.push_back(PlannedDegrade{
-            DegradedOutcome::kRedirected, chunk.disk, redirect, 0,
-            chunk.bytes});
-      } else if (action == DegradedAction::kReconstruct &&
-                 !scratch_reads_.empty()) {
-        PR_ASSERT(parity_on_,
-                  "kReconstruct from a non-parity redundancy scheme");
-        require_disks(scratch_reads_);
-        planned_degrades_.push_back(PlannedDegrade{
-            DegradedOutcome::kReconstructed, chunk.disk, chunk.disk,
-            static_cast<std::uint32_t>(scratch_reads_.size()), chunk.bytes});
-        plan_serves_.insert(plan_serves_.end(), scratch_reads_.begin(),
-                            scratch_reads_.end());
-      } else {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Book one surviving request's planned degraded chunk: the counters
-  /// and events deferred from the planning pass, emitted before any serve
-  /// so they precede the serves' spin-up transitions.
-  void emit_planned_degrade(Seconds arrival, FileId file,
-                            const PlannedDegrade& pd) {
-    SimObserver* const obs = ctx_.observer_;
-    if (pd.outcome == DegradedOutcome::kRedirected) {
-      ctx_.counters_.add(h_redirected_);
-      if (obs != nullptr) {
-        obs->on_request_degraded(RequestDegradedEvent{
-            arrival, file, pd.intended, pd.served_by,
-            DegradedOutcome::kRedirected, 1.0});
-      }
-      return;
-    }
-    ctx_.counters_.add(h_reconstructed_);
-    if (obs != nullptr) {
-      obs->on_stripe_reconstruct(StripeReconstructEvent{
-          arrival, file, pd.intended, pd.sources, pd.bytes});
-      obs->on_request_degraded(RequestDegradedEvent{
-          arrival, file, pd.intended, pd.intended,
-          DegradedOutcome::kReconstructed, 1.0});
-    }
-  }
-
-  /// Parity bookkeeping at a fail-stop instant: count the failure as a
-  /// data-loss event if it overlaps another failure the layout cannot
-  /// survive (one event per new failure — the Markov model's absorbing
-  /// transition), then start the paced background rebuild of everything
-  /// placed on the disk.
-  void on_parity_failure(Seconds at, DiskId disk) {
-    for (DiskId other = 0; other < ctx_.disks_.size(); ++other) {
-      if (other == disk || !ctx_.fault_.failed(other)) continue;
-      if (scheme_->loses_data(disk, other)) {
-        ctx_.counters_.add(h_data_loss_);
-        break;
-      }
-    }
-    if (!rebuild_on_ || rebuild_.rebuilding(disk)) return;
-    Bytes total = 0;
-    for (FileId f = 0; f < ctx_.placement_.size(); ++f) {
-      if (ctx_.placement_[f] == disk) total += files_.by_id(f).size;
-    }
-    rebuild_.start(disk, at, total);
-    ctx_.counters_.add(h_rebuilds_started_);
-    if (ctx_.observer_ != nullptr) {
-      ctx_.observer_->on_rebuild_start(RebuildStartEvent{at, disk, total});
-    }
-  }
-
-  /// One internal rebuild serve on `d`: wake the disk if it is spun down
-  /// (TransitionCause::kRebuild — the energy cost of staying protected),
-  /// pay the transfer, and drop any pending idle check (the background-
-  /// I/O precedent set by migrate/background_copy: no re-arm, the next
-  /// foreground serve re-arms).
-  void rebuild_io(DiskId d, Seconds at, Bytes bytes) {
-    Disk& disk = ctx_.disks_[d];
-    if (disk.speed() == DiskSpeed::kLow) {
-      const Joules spin_before =
-          ctx_.observer_ != nullptr ? disk.ledger().energy : Joules{0.0};
-      const Seconds finish = disk.transition(at, DiskSpeed::kHigh);
-      ctx_.counters_.add(h_rebuild_wakeups_);
-      ctx_.emit_transition(d, DiskSpeed::kLow, DiskSpeed::kHigh, at, finish,
-                           TransitionCause::kRebuild,
-                           disk.ledger().energy - spin_before);
-    }
-    if (bytes > 0) disk.serve(at, bytes, /*internal=*/true);
-    ctx_.cancel_idle_check(d);
-  }
-
-  /// Turn one due rebuild step into I/O: a read on each surviving stripe
-  /// source plus the reconstructed write on the rebuilt disk (its ledger
-  /// models the replacement spindle), all queued FCFS behind foreground
-  /// traffic. A completing step returns the disk to service through the
-  /// normal fault machinery — a synthetic kRecover at the same instant —
-  /// so the observed downtime (DiskRecoverEvent) *is* the repair time.
-  void run_rebuild_step(const RebuildScheduler::Step& step) {
-    const Seconds at = step.time;
-    scratch_sources_.clear();
-    scheme_->rebuild_sources(ctx_, step.disk, step.index, scratch_sources_);
-    SimObserver* const obs = ctx_.observer_;
-    Joules energy_before{0.0};
-    if (obs != nullptr) {
-      energy_before = ctx_.disks_[step.disk].ledger().energy;
-      for (const DiskId s : scratch_sources_) {
-        energy_before += ctx_.disks_[s].ledger().energy;
-      }
-    }
-    for (const DiskId s : scratch_sources_) {
-      rebuild_io(s, at, step.bytes);
-    }
-    rebuild_io(step.disk, at, step.bytes);
-    ctx_.counters_.add(h_rebuild_steps_);
-    if (obs != nullptr) {
-      Joules energy_after = ctx_.disks_[step.disk].ledger().energy;
-      for (const DiskId s : scratch_sources_) {
-        energy_after += ctx_.disks_[s].ledger().energy;
-      }
-      obs->on_rebuild_progress(RebuildProgressEvent{
-          at, step.disk, step.done, step.total, energy_after - energy_before});
-    }
-    if (step.completes) {
-      ctx_.counters_.add(h_rebuilds_completed_);
-      if (obs != nullptr) {
-        obs->on_rebuild_complete(RebuildCompleteEvent{
-            at, step.disk, step.total, at - step.started});
-      }
-      apply_fault(FaultEvent{at, step.disk, FaultKind::kRecover, 1.0});
-    }
-  }
-
-  /// Apply one plan event to the live FaultState; announce it (and bump
-  /// the matching counter) only when it actually changed something —
-  /// idempotent events stay invisible.
-  void apply_fault(const FaultEvent& e) {
-    const FaultState::ApplyResult applied = ctx_.fault_.apply(e);
-    if (!applied.changed) return;
-    SimObserver* const obs = ctx_.observer_;
-    switch (e.kind) {
-      case FaultKind::kFail:
-        ctx_.counters_.add(h_faults_);
-        if (obs != nullptr) {
-          obs->on_disk_fail(
-              DiskFailEvent{e.time, e.disk, FaultMode::kFailStop, 1.0});
-        }
-        if (parity_on_) on_parity_failure(e.time, e.disk);
-        break;
-      case FaultKind::kRecover:
-        ctx_.counters_.add(h_recovers_);
-        // The disk came back by external means (a plan kRecover) while a
-        // rebuild was still copying — drop the now-moot rebuild.
-        if (rebuild_on_ && rebuild_.abort(e.disk)) {
-          ctx_.counters_.add(h_rebuilds_aborted_);
-        }
-        if (obs != nullptr) {
-          obs->on_disk_recover(
-              DiskRecoverEvent{e.time, e.disk, applied.downtime});
-        }
-        break;
-      case FaultKind::kSlowdown:
-        ctx_.counters_.add(h_slowdowns_);
-        if (obs != nullptr) {
-          obs->on_disk_fail(
-              DiskFailEvent{e.time, e.disk, FaultMode::kSlowdown, e.factor});
-        }
-        break;
-    }
   }
 
   /// Refresh the cached lower bound on the earliest pending deferred
@@ -716,15 +411,7 @@ class ArraySimulator {
     if (!ctx_.idle_timer_.empty()) {
       hint = std::min(hint, ctx_.idle_timer_.next_time());
     }
-    if (ctx_.faults_on_) {
-      const auto& events = faults_->events();
-      if (fault_cursor_ < events.size()) {
-        hint = std::min(hint, events[fault_cursor_].time);
-      }
-      if (rebuild_on_) {
-        hint = std::min(hint, rebuild_.next_time());
-      }
-    }
+    if (faults_) hint = std::min(hint, faults_->next_time());
     ctx_.wake_hint_ = hint;
   }
 
@@ -734,26 +421,13 @@ class ArraySimulator {
   /// runs exclusive up to each fault/rebuild instant, then inclusive to
   /// `t`). The fault-free path collapses to plain drain_until.
   void advance_until(Seconds t) {
-    if (ctx_.faults_on_) {
-      const auto& events = faults_->events();
-      for (;;) {
-        const Seconds fault_next = fault_cursor_ < events.size()
-                                       ? events[fault_cursor_].time
-                                       : kNeverTime;
-        const Seconds rebuild_next =
-            rebuild_on_ ? rebuild_.next_time() : kNeverTime;
-        const Seconds next = std::min(fault_next, rebuild_next);
-        if (!(next <= t)) break;
+    if (faults_) {
+      for (Seconds next = faults_->next_time(); next <= t;
+           next = faults_->next_time()) {
         drain_until(next, /*inclusive=*/false);
         fire_epochs_until(next);
         ctx_.now_ = next;
-        if (fault_next <= rebuild_next) {
-          apply_fault(events[fault_cursor_]);
-          ++fault_cursor_;
-        } else {
-          RebuildScheduler::Step step;
-          if (rebuild_.pop_due(next, step)) run_rebuild_step(step);
-        }
+        faults_->fire(next);
       }
     }
     drain_until(t);
@@ -816,13 +490,8 @@ class ArraySimulator {
       ctx_.counters_.add(h_spin_vetoed_);
       return;
     }
-    const Joules energy_before =
-        ctx_.observer_ != nullptr ? disk.ledger().energy : Joules{0.0};
-    const Seconds finish = disk.transition(at, DiskSpeed::kLow);
-    ctx_.counters_.add(h_spin_downs_);
-    ctx_.emit_transition(d, DiskSpeed::kHigh, DiskSpeed::kLow, at, finish,
-                         TransitionCause::kDpmIdle,
-                         disk.ledger().energy - energy_before);
+    ctx_.transition(d, DiskSpeed::kLow, at, TransitionCause::kDpmIdle,
+                    h_spin_downs_);
   }
 
   void fire_epochs_until(Seconds t) {
@@ -849,8 +518,12 @@ class ArraySimulator {
       // Control closes the loop after the boundary's epoch-end event (its
       // ControlUpdateEvent documents itself as following EpochEndEvent)
       // and before the counts reset, so the policy's decayed counts it
-      // reads are the ones on_epoch just produced.
-      if (control_on_) control_step(next_epoch_);
+      // reads are the ones on_epoch just produced. Only the epoch
+      // controller ever moves the stride.
+      if (control_) {
+        epoch_len_ = control_->close_epoch(next_epoch_, epoch_index_,
+                                           epoch_len_);
+      }
       ++epoch_index_;
       std::fill(ctx_.epoch_counts_.begin(), ctx_.epoch_counts_.end(), 0);
       ctx_.epoch_requests_ = 0;
@@ -858,121 +531,12 @@ class ArraySimulator {
     }
   }
 
-  /// Control-mode admission at dispatch: measure the routed disk's FCFS
-  /// backlog (how long the request would wait before service begins),
-  /// fold it into the epoch window, and — when an admission window is
-  /// configured — shed the request instead of queueing it unboundedly.
-  /// A shed request is recorded, not served: no response-time sample, no
-  /// completion event, no after_serve (the epoch popularity bump stands:
-  /// demand existed even if unmet — same contract as a lost request).
-  bool admit(const Request& req, DiskId primary) {
-    const double backlog = std::max(
-        0.0, (ctx_.disks_[primary].ready_time() - req.arrival).value());
-    if (shed_window_ > 0.0 && backlog > shed_window_) {
-      ctx_.counters_.add(h_ctl_shed_);
-      ++ctl_epoch_shed_;
-      return false;
-    }
-    if (backlog > ctl_epoch_backlog_) ctl_epoch_backlog_ = backlog;
-    return true;
-  }
-
-  /// Close the epoch's control window: fold the observed latency / energy
-  /// / backlog into the ControlLoop, actuate its knob decisions — DPM
-  /// idleness thresholds here, the hot-zone size through
-  /// Policy::on_control, the epoch length via the boundary stride — and
-  /// announce the update to the observer. The energy window is the ledger
-  /// delta between boundaries; ledgers close idle stretches lazily (on
-  /// the next activity), so a window's spend can lag by a trailing idle
-  /// stretch — deterministic, and it evens out across windows.
-  void control_step(Seconds boundary) {
-    const ControlConfig& cfg = config_.control;
-    Joules energy_now{0.0};
-    for (const Disk& disk : ctx_.disks_) energy_now += disk.ledger().energy;
-
-    ControlInputs in;
-    in.epoch_s = epoch_len_.value();
-    in.requests = ctl_epoch_served_;
-    in.mean_rt_s =
-        ctl_epoch_served_ > 0
-            ? ctl_epoch_rt_sum_ / static_cast<double>(ctl_epoch_served_)
-            : 0.0;
-    in.max_backlog_s = ctl_epoch_backlog_;
-    in.energy_j = (energy_now - ctl_last_energy_).value();
-    in.shed = ctl_epoch_shed_;
-
-    const ControlDecision decision = control_.update(in);
-    ctx_.counters_.add(h_ctl_updates_);
-
-    if (decision.h_scale != 1.0) {
-      // Rescale every DPM-managed disk's idleness threshold; disks the
-      // policy left un-managed (cold zones, always-on disks) are not the
-      // latency controller's to touch.
-      bool scaled = false;
-      for (DiskId d = 0; d < ctx_.disks_.size(); ++d) {
-        if (!ctx_.dpm_[d].spin_down_when_idle) continue;
-        const double h = ctx_.dpm_[d].idleness_threshold.value();
-        const double stretched =
-            std::clamp(h * decision.h_scale, cfg.h_min_s, cfg.h_max_s);
-        if (stretched != h) {
-          ctx_.set_idleness_threshold(d, Seconds{stretched});
-          scaled = true;
-        }
-      }
-      if (scaled) ctx_.counters_.add(h_ctl_h_scaled_);
-    }
-
-    int applied = 0;
-    if (decision.hot_delta != 0) {
-      applied = policy_.on_control(ctx_, decision, boundary);
-      if (applied > 0) {
-        ctx_.counters_.add(h_ctl_hot_grows_,
-                           static_cast<std::uint64_t>(applied));
-      } else if (applied < 0) {
-        ctx_.counters_.add(h_ctl_hot_shrinks_,
-                           static_cast<std::uint64_t>(-applied));
-      }
-    }
-
-    if (decision.epoch_scale != 1.0) {
-      const double stretched = std::clamp(
-          epoch_len_.value() * decision.epoch_scale, cfg.epoch_min_s,
-          cfg.epoch_max_s);
-      if (stretched != epoch_len_.value()) {
-        epoch_len_ = Seconds{stretched};
-        ctx_.counters_.add(h_ctl_epoch_scaled_);
-      }
-    }
-
-    if (ctx_.observer_ != nullptr) {
-      ControlUpdateEvent event;
-      event.time = boundary;
-      event.epoch_index = epoch_index_;
-      event.requests = ctl_epoch_served_;
-      event.shed = ctl_epoch_shed_;
-      event.mean_rt_s = in.mean_rt_s;
-      event.max_backlog_s = in.max_backlog_s;
-      event.energy_j = in.energy_j;
-      event.h_scale = decision.h_scale;
-      event.hot_delta = applied;
-      event.epoch_scale = decision.epoch_scale;
-      event.epoch_len_s = epoch_len_.value();
-      ctx_.observer_->on_control_update(event);
-    }
-
-    ctl_last_energy_ = energy_now;
-    ctl_epoch_served_ = 0;
-    ctl_epoch_rt_sum_ = 0.0;
-    ctl_epoch_backlog_ = 0.0;
-    ctl_epoch_shed_ = 0;
-  }
-
   void emit_run_start() {
     if (ctx_.observer_ == nullptr) return;
     RunStartEvent event;
     event.disk_count = ctx_.disks_.size();
-    event.file_count = files_.size();
-    event.epoch = config_.epoch;
+    event.file_count = ctx_.files().size();
+    event.epoch = ctx_.config().epoch;
     event.initial_speeds.reserve(ctx_.disks_.size());
     for (const Disk& d : ctx_.disks_) event.initial_speeds.push_back(d.speed());
     ctx_.observer_->on_run_start(event);
@@ -990,7 +554,7 @@ class ArraySimulator {
       final_idle += disk.ledger().energy - before_close;
       result_.ledgers.push_back(disk.ledger());
       result_.telemetry.push_back(
-          extract_telemetry(disk, config_.temperature_attribution));
+          extract_telemetry(disk, ctx_.config().temperature_attribution));
       result_.total_energy += disk.ledger().energy;
       result_.total_transitions += disk.ledger().transitions;
       result_.max_transitions_per_day =
@@ -1007,45 +571,16 @@ class ArraySimulator {
     }
   }
 
-  const SimConfig& config_;
-  const FileSet& files_;
   RequestSource& source_;
   Policy& policy_;
   ArrayContext ctx_;
-  /// Attached fault plan (nullptr or empty = fault-free fast path) and the
-  /// index of its next unapplied event.
-  const FaultPlan* faults_ = nullptr;
-  std::size_t fault_cursor_ = 0;
-  /// Resolved redundancy seam: the config-owned parity scheme (wins) or
-  /// the policy's copy-set scheme; nullptr = degraded requests are lost.
+  /// The config-owned parity scheme, if any (the FaultInjector may use it
+  /// or the policy's copy-set scheme).
   std::unique_ptr<RedundancyScheme> owned_scheme_;
-  RedundancyScheme* scheme_ = nullptr;
-  /// True when a parity scheme is live under an attached fault plan — the
-  /// reconstruct / data-loss / rebuild machinery can fire.
-  bool parity_on_ = false;
-  bool rebuild_on_ = false;
-  RebuildScheduler rebuild_;
-  /// Per-request / per-step scratch (cleared before each use).
-  std::vector<StripeChunk> scratch_reads_;
-  std::vector<StripeChunk> plan_serves_;
-  std::vector<PlannedDegrade> planned_degrades_;
-  std::vector<DiskId> scratch_sources_;
-  /// Whether the in-flight request hit an injected slowdown (and the worst
-  /// factor across its chunks); drives the kSlowed emission.
-  bool request_slowed_ = false;
-  double request_slowdown_ = 1.0;
-  // Feedback-control state; armed only when SimConfig::control.enabled.
-  // epoch_len_ starts at config.epoch and only the epoch controller ever
-  // moves it, so control-free runs keep today's fixed boundary stride.
-  bool control_on_ = false;
-  ControlLoop control_;
-  double shed_window_ = 0.0;
+  std::optional<FaultInjector> faults_;
+  std::optional<Controller> control_;
+  /// The epoch stride: config.epoch unless the epoch controller moves it.
   Seconds epoch_len_{0.0};
-  std::uint64_t ctl_epoch_served_ = 0;
-  double ctl_epoch_rt_sum_ = 0.0;
-  double ctl_epoch_backlog_ = 0.0;
-  std::uint64_t ctl_epoch_shed_ = 0;
-  Joules ctl_last_energy_{0.0};
   Seconds next_epoch_{0.0};
   std::uint64_t epoch_index_ = 0;
   SimResult result_;
@@ -1067,30 +602,6 @@ class ArraySimulator {
   CounterRegistry::Handle h_spin_downs_;
   CounterRegistry::Handle h_spin_vetoed_;
   CounterRegistry::Handle h_spin_ups_;
-  // Fault counters; interned (and thus reported) only when a non-empty
-  // FaultPlan is attached.
-  CounterRegistry::Handle h_faults_ = 0;
-  CounterRegistry::Handle h_recovers_ = 0;
-  CounterRegistry::Handle h_slowdowns_ = 0;
-  CounterRegistry::Handle h_lost_ = 0;
-  CounterRegistry::Handle h_redirected_ = 0;
-  CounterRegistry::Handle h_slowed_ = 0;
-  // Redundancy counters; interned only when a parity scheme is live under
-  // an attached fault plan (the rebuild set only with the engine on).
-  CounterRegistry::Handle h_reconstructed_ = 0;
-  CounterRegistry::Handle h_data_loss_ = 0;
-  CounterRegistry::Handle h_rebuild_steps_ = 0;
-  CounterRegistry::Handle h_rebuild_wakeups_ = 0;
-  CounterRegistry::Handle h_rebuilds_started_ = 0;
-  CounterRegistry::Handle h_rebuilds_completed_ = 0;
-  CounterRegistry::Handle h_rebuilds_aborted_ = 0;
-  // Control counters; interned only when SimConfig::control.enabled.
-  CounterRegistry::Handle h_ctl_updates_ = 0;
-  CounterRegistry::Handle h_ctl_shed_ = 0;
-  CounterRegistry::Handle h_ctl_h_scaled_ = 0;
-  CounterRegistry::Handle h_ctl_hot_grows_ = 0;
-  CounterRegistry::Handle h_ctl_hot_shrinks_ = 0;
-  CounterRegistry::Handle h_ctl_epoch_scaled_ = 0;
 };
 
 SimResult run_simulation(const SimConfig& config, const FileSet& files,

@@ -16,6 +16,11 @@
 // parity reconstruction, or loss of the whole request), then one serve
 // loop that completes the request when its slowest chunk finishes.
 //
+// The simulator is that request loop. Faults, parity/rebuild and control
+// are components built only when their feature is live, each owning its
+// state and counters: FaultInjector holding ParityEngine
+// (sim/fault_injector.h) and Controller (sim/controller.h).
+//
 // Determinism: arrivals are replayed in trace order; deferred idle checks
 // live in an IdleTimerHeap (one armed deadline per disk, FIFO among equal
 // deadlines); policies receive callbacks at well-defined points only.
@@ -23,6 +28,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +84,12 @@ struct SimConfig {
 
 class Policy;
 
+/// One piece of a striped request: `bytes` served by `disk`.
+struct StripeChunk {
+  DiskId disk = kInvalidDisk;
+  Bytes bytes = 0;
+};
+
 /// The policy-facing view of the running simulation.
 class ArrayContext {
  public:
@@ -114,19 +126,20 @@ class ArrayContext {
   /// True when an injected fail-stop fault currently holds `d` out of
   /// service (always false when no FaultPlan is attached). Redundancy
   /// schemes use this to pick live copies / surviving stripe units.
-  [[nodiscard]] bool disk_failed(DiskId d) const {
-    return faults_on_ && fault_.failed(d);
-  }
+  [[nodiscard]] bool disk_failed(DiskId d) const { return fault_.failed(d); }
   /// Injected service-inflation factor currently in force on `d` (1 =
   /// nominal; always 1 when no FaultPlan is attached).
   [[nodiscard]] double disk_slowdown(DiskId d) const {
-    return faults_on_ ? fault_.slowdown(d) : 1.0;
+    return fault_.slowdown(d);
   }
 
   // --- placement & data movement --------------------------------------
   /// Initial placement (no I/O cost); each file must be placed exactly
   /// once before the run starts.
   void place(FileId f, DiskId d);
+  /// Initial placement of every file round-robin in size order (smallest
+  /// first) over disks [first, disk_count()).
+  void place_round_robin(DiskId first = 0);
   /// Move a file: background read on its current disk + write on `to`;
   /// placement is updated. No-op if already there.
   void migrate(FileId f, DiskId to);
@@ -161,6 +174,9 @@ class ArrayContext {
 
  private:
   friend class ArraySimulator;
+  friend class FaultInjector;
+  friend class ParityEngine;
+  friend class Controller;
 
   /// (Re-)arm the idle-check deadline for `d` at completion + H, in place.
   void schedule_idle_check(DiskId d, Seconds completion);
@@ -168,14 +184,21 @@ class ArrayContext {
   /// background I/O (migrations, cache fills) that does not go through
   /// the per-request re-arm.
   void cancel_idle_check(DiskId d);
+  /// Every chunk must name a disk of the array (std::logic_error).
+  void require_disks(std::span<const StripeChunk> chunks) const;
   /// Allocate a contiguous cylinder range for `f` on disk `d` and record
   /// its start cylinder (positional mode only).
   void assign_cylinders(FileId f, DiskId d);
-  /// Announce an actual speed change (and the derived power-state change)
-  /// to the attached observer; no-op when detached or from == to.
-  /// `energy` is the ledger delta across the transition operation.
-  void emit_transition(DiskId d, DiskSpeed from, DiskSpeed to, Seconds at,
-                       Seconds finish, TransitionCause cause, Joules energy);
+  /// The one speed-change path: move disk `d` toward `target` at `at`
+  /// and, when the speed actually changes, bump `counter` and announce
+  /// the transition (and the derived power-state change) to the attached
+  /// observer with its ledger energy delta. Returns the finish time.
+  Seconds transition(DiskId d, DiskSpeed target, Seconds at,
+                     TransitionCause cause, CounterRegistry::Handle counter);
+  /// Observed-energy probe for background I/O: the ledger energy of
+  /// `disks` summed in order; 0 while no observer is attached (only
+  /// observer events carry these deltas).
+  [[nodiscard]] Joules observed_energy(std::span<const DiskId> disks) const;
 
   const SimConfig* config_;
   const FileSet* files_;
@@ -209,19 +232,12 @@ class ArrayContext {
   CounterRegistry counters_;
   /// Pre-interned handle for request_transition's hot-path bump.
   CounterRegistry::Handle h_policy_transitions_ = 0;
-  /// Live per-disk fault flags; only consulted when a non-empty FaultPlan
-  /// is attached (faults_on_), so fault-free runs stay byte-identical.
+  /// Live per-disk fault flags; sized only by a FaultInjector, so on a
+  /// fault-free run every disk reads as live at nominal speed.
   FaultState fault_;
-  bool faults_on_ = false;
   /// Attached observer (nullptr = detached; every emission point guards on
   /// this, which is the whole zero-cost story).
   SimObserver* observer_ = nullptr;
-};
-
-/// One piece of a striped request: `bytes` served by `disk`.
-struct StripeChunk {
-  DiskId disk = kInvalidDisk;
-  Bytes bytes = 0;
 };
 
 /// The redundancy seam (redundancy/scheme.h): how degraded requests are
@@ -243,9 +259,11 @@ class Policy {
   /// Place every file, set initial speeds and DPM knobs.
   virtual void initialize(ArrayContext& ctx) = 0;
 
-  /// Pick the disk that serves `req` (usually location(req.file); MAID
-  /// may answer from a cache disk).
-  virtual DiskId route(ArrayContext& ctx, const Request& req) = 0;
+  /// Pick the disk that serves `req`: by default the file's placed disk
+  /// (location(req.file)); MAID may answer from a cache disk.
+  virtual DiskId route(ArrayContext& ctx, const Request& req) {
+    return ctx.location(req.file);
+  }
 
   /// Striping support (paper §6 future work / RAID-0 extension): when
   /// this returns true the simulator calls stripe() instead of route().

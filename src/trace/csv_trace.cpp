@@ -1,8 +1,6 @@
 #include "trace/csv_trace.h"
 
 #include <fstream>
-#include <locale>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -15,26 +13,26 @@ constexpr const char* kHeader = "time_s,file_id,bytes,op";
 }
 
 void write_csv_trace(const Trace& trace, std::ostream& out) {
-  out << kHeader << "\n";
-  // Arrivals go through the locale-independent formatter (precision 9
-  // matches the stream precision this replaced); the classic locale keeps
-  // file ids and sizes free of grouping separators.
-  out.imbue(std::locale::classic());
-  for (const auto& r : trace.requests) {
-    out << format_double(r.arrival.value(), 9) << ',' << r.file << ','
-        << r.size << ',' << (r.kind == RequestKind::kRead ? 'R' : 'W')
-        << '\n';
-  }
+  TraceSource source(trace);
+  write_csv_trace(source, out);
 }
 
 void write_csv_trace(RequestSource& source, std::ostream& out) {
   out << kHeader << "\n";
-  out.imbue(std::locale::classic());
+  // Every field goes through util/fmt, so the caller's stream locale is
+  // never consulted (nor changed); precision 9 for arrivals matches the
+  // stream precision the format was defined with.
+  std::string row;
   Request r;
   while (source.next(r)) {
-    out << format_double(r.arrival.value(), 9) << ',' << r.file << ','
-        << r.size << ',' << (r.kind == RequestKind::kRead ? 'R' : 'W')
-        << '\n';
+    row.clear();
+    append_double(row, r.arrival.value(), 9);
+    row += ',';
+    append_uint(row, r.file);
+    row += ',';
+    append_uint(row, r.size);
+    row += r.kind == RequestKind::kRead ? ",R\n" : ",W\n";
+    out.write(row.data(), static_cast<std::streamsize>(row.size()));
   }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <locale>
 #include <ostream>
 #include <stdexcept>
 
@@ -317,11 +316,19 @@ bool JsonlStreamSource::parse_line(std::string_view line, Request& out) {
 }
 
 void write_jsonl_trace(const Trace& trace, std::ostream& out) {
-  out.imbue(std::locale::classic());
+  // Every field goes through util/fmt, so the caller's stream locale is
+  // never consulted (nor changed).
+  std::string line;
   for (const auto& r : trace.requests) {
-    out << "{\"t\":" << format_double(r.arrival.value()) << ",\"file\":"
-        << r.file << ",\"bytes\":" << r.size << ",\"op\":\""
-        << (r.kind == RequestKind::kRead ? 'R' : 'W') << "\"}\n";
+    line = "{\"t\":";
+    append_double(line, r.arrival.value());
+    line += ",\"file\":";
+    append_uint(line, r.file);
+    line += ",\"bytes\":";
+    append_uint(line, r.size);
+    line += r.kind == RequestKind::kRead ? ",\"op\":\"R\"}\n"
+                                         : ",\"op\":\"W\"}\n";
+    out.write(line.data(), static_cast<std::streamsize>(line.size()));
   }
 }
 

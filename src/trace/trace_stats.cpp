@@ -60,6 +60,25 @@ double estimate_theta(const std::vector<std::uint64_t>& counts,
                         files_fraction);
 }
 
+double fit_zipf_alpha(std::span<const std::uint64_t> ranked) {
+  if (ranked.size() < 3) return 0.0;
+  double sx = 0.0;
+  double sy = 0.0;
+  double sxx = 0.0;
+  double sxy = 0.0;
+  for (std::size_t i = 0; i < ranked.size(); ++i) {
+    const double x = std::log(static_cast<double>(i + 1));
+    const double y = std::log(static_cast<double>(ranked[i]));
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  const auto dn = static_cast<double>(ranked.size());
+  const double denom = dn * sxx - sx * sx;
+  return denom > 0.0 ? -(dn * sxy - sx * sy) / denom : 0.0;
+}
+
 void TraceStatsAccumulator::add(const Request& r) {
   ++request_count_;
   total_bytes_ += r.size;
@@ -106,57 +125,26 @@ TraceStats TraceStatsAccumulator::finalize() const {
 
   stats.theta = estimate_theta(stats.access_counts, options_.theta_b);
 
-  // Fraction of accesses going to the top θ_b fraction of (active) files.
-  {
-    std::vector<std::uint64_t> active;
-    active.reserve(stats.file_count);
-    for (auto c : stats.access_counts) {
-      if (c > 0) active.push_back(c);
-    }
-    std::sort(active.begin(), active.end(), std::greater<>());
-    if (!active.empty()) {
-      auto top_n = static_cast<std::size_t>(std::ceil(
-          options_.theta_b * static_cast<double>(active.size())));
-      top_n = std::clamp<std::size_t>(top_n, 1, active.size());
-      std::uint64_t top = 0;
-      for (std::size_t i = 0; i < top_n; ++i) top += active[i];
-      stats.top_fraction_accesses =
-          static_cast<double>(top) / static_cast<double>(request_count_);
-    }
+  // The active files' counts, most accessed first, feed both the share
+  // of accesses going to the top θ_b fraction and the Zipf fit.
+  std::vector<std::uint64_t> active;
+  active.reserve(stats.file_count);
+  for (auto c : stats.access_counts) {
+    if (c > 0) active.push_back(c);
   }
-
-  // Zipf exponent: least-squares slope of log(count) on log(rank).
-  {
-    std::vector<std::uint64_t> active;
-    active.reserve(stats.file_count);
-    for (auto c : stats.access_counts) {
-      if (c > 0) active.push_back(c);
-    }
-    std::sort(active.begin(), active.end(), std::greater<>());
-    std::size_t n = active.size();
-    if (options_.zipf_fit_ranks > 0) {
-      n = std::min(n, options_.zipf_fit_ranks);
-    }
-    if (n >= 3) {
-      double sx = 0.0;
-      double sy = 0.0;
-      double sxx = 0.0;
-      double sxy = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = std::log(static_cast<double>(i + 1));
-        const double y = std::log(static_cast<double>(active[i]));
-        sx += x;
-        sy += y;
-        sxx += x * x;
-        sxy += x * y;
-      }
-      const auto dn = static_cast<double>(n);
-      const double denom = dn * sxx - sx * sx;
-      if (denom > 0.0) {
-        stats.zipf_alpha = -(dn * sxy - sx * sy) / denom;
-      }
-    }
+  std::sort(active.begin(), active.end(), std::greater<>());
+  if (!active.empty()) {
+    auto top_n = static_cast<std::size_t>(std::ceil(
+        options_.theta_b * static_cast<double>(active.size())));
+    top_n = std::clamp<std::size_t>(top_n, 1, active.size());
+    std::uint64_t top = 0;
+    for (std::size_t i = 0; i < top_n; ++i) top += active[i];
+    stats.top_fraction_accesses =
+        static_cast<double>(top) / static_cast<double>(request_count_);
   }
+  std::size_t n = active.size();
+  if (options_.zipf_fit_ranks > 0) n = std::min(n, options_.zipf_fit_ranks);
+  stats.zipf_alpha = fit_zipf_alpha(std::span(active).first(n));
 
   return stats;
 }

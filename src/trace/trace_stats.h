@@ -114,4 +114,9 @@ class TraceStatsAccumulator {
 [[nodiscard]] double estimate_theta(const std::vector<std::uint64_t>& counts,
                                     double files_fraction = 0.2);
 
+/// Zipf exponent α: minus the least-squares slope of log(count) on
+/// log(rank) over `ranked`, positive counts in descending order (rank 1
+/// first). 0 for fewer than 3 ranks or a degenerate fit.
+[[nodiscard]] double fit_zipf_alpha(std::span<const std::uint64_t> ranked);
+
 }  // namespace pr

@@ -20,6 +20,8 @@
 #include "obs/time_series.h"
 #include "policy/static_policy.h"
 #include "sim/array_sim.h"
+#include "trace/csv_trace.h"
+#include "trace/stream_reader.h"
 #include "workload/synthetic.h"
 
 namespace pr {
@@ -533,6 +535,53 @@ TEST(JsonlTraceWriter, BytesIgnoreAndKeepTheCallersLocale) {
 
   EXPECT_NE(classic_out.str().find(R"("bytes":1048576)"), std::string::npos);
   EXPECT_EQ(grouped_out.str(), classic_out.str());
+}
+
+/// Write the same bytes twice — into a classic-locale stream, then, under a
+/// grouping global locale, into a stream that picked that locale up — and
+/// require equal bytes and the caller's locale kept. Returns the bytes.
+template <typename Write>
+std::string expect_locale_free(const Write& write) {
+  std::ostringstream classic_out;
+  write(classic_out);
+  GlobalLocaleGuard guard(std::locale(std::locale::classic(),
+                                      new GroupingPunct));
+  std::ostringstream grouped_out;
+  const std::locale before = grouped_out.getloc();
+  write(grouped_out);
+  EXPECT_TRUE(grouped_out.getloc() == before);
+  EXPECT_EQ(grouped_out.str(), classic_out.str());
+  return classic_out.str();
+}
+
+TEST(TraceWriters, BytesIgnoreAndKeepTheCallersLocale) {
+  const auto trace = trace_of({{0.0, 0}, {1234.5, 1}});
+  const std::string csv =
+      "time_s,file_id,bytes,op\n0,0,1048576,R\n1234.5,1,2097152,R\n";
+  EXPECT_EQ(expect_locale_free(
+                [&](std::ostream& out) { write_csv_trace(trace, out); }),
+            csv);
+  EXPECT_EQ(expect_locale_free([&](std::ostream& out) {
+              TraceSource source(trace);
+              write_csv_trace(source, out);
+            }),
+            csv);
+  EXPECT_EQ(
+      expect_locale_free(
+          [&](std::ostream& out) { write_jsonl_trace(trace, out); }),
+      "{\"t\":0,\"file\":0,\"bytes\":1048576,\"op\":\"R\"}\n"
+      "{\"t\":1234.5,\"file\":1,\"bytes\":2097152,\"op\":\"R\"}\n");
+}
+
+TEST(TimeSeriesRecorder, CsvBytesIgnoreAndKeepTheCallersLocale) {
+  ProbePolicy policy{DpmConfig{}};
+  TimeSeriesRecorder recorder{Seconds{60.0}};
+  (void)run_simulation(config(2), two_files(),
+                       trace_of({{0.0, 0}, {1234.5, 1}}), policy, &recorder);
+  const std::string csv = expect_locale_free(
+      [&](std::ostream& out) { recorder.write_csv(out); });
+  EXPECT_NE(csv.find(",1048576,"), std::string::npos);
+  EXPECT_NE(csv.find("\n20,1200,1,1,2097152,"), std::string::npos);
 }
 
 // --------------------------------------------------------------- ObserverList

@@ -3,9 +3,18 @@
 // random migrations, copies and transitions at epochs, random routing to
 // replicas it invents on the fly. Whatever a policy does within the API,
 // the simulator's global invariants must survive. Parameterized over
-// seeds for reproducible shrinking.
+// seeds for reproducible shrinking. A second suite combines the optional
+// features — faults, parity with and without the rebuild, control with
+// admission shedding, whole-file and striped requests — and checks the
+// conservation identities in every combination.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
+#include "fault/fault_plan.h"
+#include "policy/read_policy.h"
+#include "policy/striped_read_policy.h"
 #include "sim/array_sim.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -153,6 +162,98 @@ TEST_P(SimChaos, InvariantsSurviveArbitraryPolicyBehaviour) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimChaos,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+/// Records whether any served request fanned out over several disks.
+class FanOutProbe final : public SimObserver {
+ public:
+  void on_request_complete(const RequestCompleteEvent& e) override {
+    if (e.stripe_chunks > 1) ++fanned_out;
+  }
+  std::uint64_t fanned_out = 0;
+};
+
+std::uint64_t counter_or_zero(const SimResult& r, const std::string& name) {
+  const auto it = r.counters.find(name);
+  return it == r.counters.end() ? 0 : it->second;
+}
+
+/// (scheme, rebuild, control with an admission window, striped requests)
+using FeatureMix = std::tuple<RedundancyKind, bool, bool, bool>;
+
+class FeatureConservation : public ::testing::TestWithParam<FeatureMix> {};
+
+TEST_P(FeatureConservation, IdentitiesHoldWithTheFeaturesCombined) {
+  const auto [kind, rebuild, control, striped] = GetParam();
+  auto wc = worldcup98_light_config(23);
+  wc.file_count = 200;
+  wc.request_count = 6'000;
+  const auto w = generate_workload(wc);
+  ASSERT_GT(w.trace.requests.back().arrival.value(), 300.0);
+
+  // Two overlapping failures in one parity group (data loss, and lost
+  // requests where nothing covers them), a slowdown, and recoveries that
+  // cut in-flight rebuilds short or find them finished.
+  const FaultPlan plan = FaultPlan::from_events({
+      {Seconds{30.0}, 1, FaultKind::kFail},
+      {Seconds{60.0}, 5, FaultKind::kSlowdown, 3.0},
+      {Seconds{100.0}, 2, FaultKind::kFail},
+      {Seconds{150.0}, 2, FaultKind::kRecover},
+      {Seconds{220.0}, 1, FaultKind::kRecover},
+      {Seconds{260.0}, 5, FaultKind::kSlowdown, 1.0},
+  });
+
+  SimConfig cfg;
+  cfg.disk_params = two_speed_cheetah();
+  cfg.disk_count = 8;
+  cfg.epoch = Seconds{60.0};
+  cfg.redundancy.kind = kind;
+  cfg.redundancy.group = kind == RedundancyKind::kRaid5 ? 4 : 0;
+  cfg.redundancy.rebuild = rebuild;
+  cfg.redundancy.rebuild_mbps = 0.05;
+  cfg.control.enabled = control;
+  cfg.control.target_rt_ms = 20.0;
+  cfg.control.admit_window_s = 0.05;
+
+  // A 4 KiB stripe unit fans most files out; at the default 512 KiB the
+  // striped runs would serve exactly what the whole-file ones do.
+  StripedReadConfig sc;
+  sc.stripe_unit = 4 * kKiB;
+  StripedReadPolicy striped_read(sc);
+  ReadPolicy read{ReadConfig{}};
+  Policy& policy = striped ? static_cast<Policy&>(striped_read)
+                           : static_cast<Policy&>(read);
+  FanOutProbe probe;
+  const SimResult r =
+      run_simulation(cfg, w.files, w.trace, policy, &probe, &plan);
+
+  if (striped) {
+    EXPECT_GT(probe.fanned_out, 0u);
+  }
+  EXPECT_EQ(r.user_requests + counter_or_zero(r, "control.shed_requests") +
+                counter_or_zero(r, "sim.requests_lost"),
+            w.trace.size());
+  Joules ledger_sum{0.0};
+  for (const auto& l : r.ledgers) ledger_sum += l.energy;
+  EXPECT_EQ(r.total_energy.value(), ledger_sum.value());
+  EXPECT_GE(counter_or_zero(r, "redundancy.rebuilds_started"),
+            counter_or_zero(r, "redundancy.rebuilds_completed") +
+                counter_or_zero(r, "redundancy.rebuilds_aborted"));
+  // Every instant of every disk lands in one bucket. The three bucket
+  // sums round independently, so they match the horizon to rounding
+  // (about 1e-12 relative here), not bit for bit.
+  for (const auto& l : r.ledgers) {
+    EXPECT_NEAR(l.observed().value(), r.horizon.value(),
+                1e-9 * r.horizon.value());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mixes, FeatureConservation,
+    ::testing::Combine(::testing::Values(RedundancyKind::kNone,
+                                         RedundancyKind::kRaid5,
+                                         RedundancyKind::kDeclustered),
+                       ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace pr
