@@ -6,7 +6,9 @@
 // benches that moved onto the scenario library.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "exp/scenario_report.h"
 #include "golden_hash.h"
 #include "policy/read_policy.h"
+#include "trace/csv_trace.h"
 
 namespace pr {
 namespace {
@@ -160,6 +163,104 @@ TEST(ScenarioGolden, FleetCellsMatchCommittedHashes) {
           << g.name << " cell " << i << " report hash drifted";
     }
 #endif
+  }
+}
+
+// A multi-variant grid: 3 seeds x 2 loads of a synthetic day plus one
+// `kind = trace` file, under READ and MAID with a hazard rate scale > 0
+// (so every cell's fault plan depends on its variant's horizon). The CSV
+// and each cell's report JSON are pinned by committed hashes at 1, 2 and
+// 4 threads — the variant lifetime and the cell order are free to change
+// as long as these bytes do not.
+ScenarioSpec multi_variant_spec(const std::string& trace_path,
+                                unsigned threads) {
+  ScenarioSpec spec;
+  spec.name = "multi_variant";
+  spec.threads = threads;
+  spec.seeds = {3, 5, 8};
+  spec.disks = {4};
+  spec.epochs = {300.0};
+  ScenarioWorkload light = mini_light();
+  light.requests = 1'500;
+  light.loads = {1.0, 2.5};
+  spec.workloads.push_back(light);
+  ScenarioWorkload file;
+  file.name = "file";
+  file.kind = "trace";
+  file.path = trace_path;
+  spec.workloads.push_back(file);
+  spec.policies.push_back({"read", "READ", {}});
+  spec.policies.push_back({"maid", "MAID", {}});
+  spec.fault.enabled = true;
+  spec.fault.seed = 13;
+  spec.fault.afr = 0.08;
+  spec.fault.rate_scales = {3'000'000.0};
+  spec.fault.mttr_s = 30.0;
+  return spec;
+}
+
+std::string write_multi_variant_trace() {
+  SyntheticWorkloadConfig config = worldcup98_light_config(21);
+  config.file_count = 80;
+  config.request_count = 1'200;
+  const std::string path = testing::TempDir() + "multi_variant_golden.csv";
+  write_csv_trace_file(generate_workload(config).trace, path);
+  return path;
+}
+
+TEST(ScenarioGolden, MultiVariantGridMatchesCommittedHashesAtAnyThreadCount) {
+  const std::string path = write_multi_variant_trace();
+  constexpr std::uint64_t kCsv = 9334622101069089483ULL;
+  // Policy-major, then (workload, load, seed) variant order.
+  constexpr std::uint64_t kReports[] = {
+      9795064700649941613ULL,  16005207455460355411ULL,
+      659485666563141147ULL,   15227156503547558171ULL,
+      13901251460532729106ULL, 5779329267646891423ULL,
+      10547364631138306865ULL, 8456741022116362865ULL,
+      13957412998813667956ULL, 8379213673828545574ULL,
+      5655007800735463145ULL,  13178418864353252051ULL,
+      17408336231743480097ULL, 8154638800689430611ULL};
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const ScenarioResult result =
+        run_scenario(multi_variant_spec(path, threads));
+    ASSERT_EQ(result.cells.size(), std::size(kReports))
+        << "threads " << threads;
+    std::uint64_t failures = 0;
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+      const ScenarioCell& cell = result.cells[i];
+      EXPECT_EQ(cell.policy, i < 7 ? "READ" : "MAID") << "cell " << i;
+      EXPECT_EQ(cell.workload, i % 7 == 6 ? "file" : "light") << "cell " << i;
+      ASSERT_TRUE(cell.fault.has_value()) << "cell " << i;
+      failures += cell.fault->failures;
+    }
+    EXPECT_GT(failures, 0u) << "the hazard draw must inject faults";
+#if PR_GOLDEN_HASHES
+    std::ostringstream csv;
+    write_scenario_csv(result, csv);
+    EXPECT_EQ(golden::fnv1a(csv.str()), kCsv)
+        << "threads " << threads << " CSV drifted";
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+      EXPECT_EQ(golden::fnv1a(pr::to_json(result.cells[i].report)),
+                kReports[i])
+          << "threads " << threads << " cell " << i << " report hash drifted";
+    }
+#endif
+  }
+  std::remove(path.c_str());
+}
+
+// A `kind = trace` workload whose file is missing fails the scenario with
+// the reader's own exception, whenever the engine gets to open it.
+TEST(ScenarioGolden, MissingTraceFileThrowsTheReadersError) {
+  const std::string path = testing::TempDir() + "no_such_trace.csv";
+  std::remove(path.c_str());
+  ScenarioSpec spec = multi_variant_spec(path, 2);
+  try {
+    (void)run_scenario(spec);
+    FAIL() << "a missing trace file must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "read_csv_trace_file: cannot open " + path);
   }
 }
 
