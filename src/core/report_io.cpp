@@ -1,9 +1,7 @@
 #include "core/report_io.h"
 
 #include <fstream>
-#include <iomanip>
-#include <locale>
-#include <sstream>
+#include <ostream>
 
 #include "util/fmt.h"
 
@@ -21,11 +19,10 @@ std::string json_escape(std::string_view text) {
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream hex;
-          hex.imbue(std::locale::classic());
-          hex << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(static_cast<unsigned char>(c));
-          out += hex.str();
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
         } else {
           out.push_back(c);
         }
@@ -38,23 +35,37 @@ namespace {
 
 class JsonWriter {
  public:
-  // Floating values go through util/fmt.h (std::to_chars, precision 17):
-  // same bytes as the precision(17) ostream formatting this replaced, but
-  // immune to whatever global locale the host process installed. The
-  // classic locale keeps the integer fields free of grouping separators.
-  explicit JsonWriter(std::ostream& out) : out_(out) {
-    out_.imbue(std::locale::classic());
+  // The text is built in a string through util/fmt.h (std::to_chars;
+  // floats at precision 17, the bytes precision(17) ostream formatting
+  // gave), so neither the global locale nor the caller's stream locale can
+  // change a byte, and the caller's stream keeps the locale it had. With
+  // a sink, the text is handed over in blocks of about kBlockBytes, so a
+  // 1,000-disk report never sits in memory whole.
+  explicit JsonWriter(std::ostream* sink) : sink_(sink) {}
+
+  /// Ends the document with a newline; returns what was not yet written
+  /// to the sink (all of it without one).
+  std::string finish() {
+    out_ += '\n';
+    if (sink_ != nullptr) spill();
+    return std::move(out_);
   }
 
   void key(const std::string& name) {
+    if (sink_ != nullptr && out_.size() >= kBlockBytes) spill();
     comma();
-    out_ << '"' << json_escape(name) << "\":";
+    out_ += '"';
+    out_ += json_escape(name);
+    out_ += "\":";
     pending_comma_ = false;
   }
-  void value(double v) { scalar() << format_double(v, 17); }
-  void value(std::uint64_t v) { scalar() << v; }
+  void value(double v) { append_double(scalar(), v, 17); }
+  void value(std::uint64_t v) { append_uint(scalar(), v); }
   void value(const std::string& v) {
-    scalar() << '"' << json_escape(v) << '"';
+    std::string& out = scalar();
+    out += '"';
+    out += json_escape(v);
+    out += '"';
   }
   void open_object() { open('{'); }
   void close_object() { close('}'); }
@@ -62,32 +73,36 @@ class JsonWriter {
   void close_array() { close(']'); }
 
  private:
-  std::ostream& scalar() {
+  std::string& scalar() {
     comma();
     pending_comma_ = true;
     return out_;
   }
   void open(char c) {
     comma();
-    out_ << c;
+    out_ += c;
     pending_comma_ = false;
   }
   void close(char c) {
-    out_ << c;
+    out_ += c;
     pending_comma_ = true;
   }
   void comma() {
-    if (pending_comma_) out_ << ',';
+    if (pending_comma_) out_ += ',';
   }
 
-  std::ostream& out_;
+  void spill() {
+    sink_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+    out_.clear();
+  }
+
+  static constexpr std::size_t kBlockBytes = 16 * 1024;
+  std::ostream* sink_;
+  std::string out_;
   bool pending_comma_ = false;
 };
 
-}  // namespace
-
-void write_json(const SystemReport& report, std::ostream& out) {
-  JsonWriter w(out);
+void emit_json(const SystemReport& report, JsonWriter& w) {
   const SimResult& sim = report.sim;
   w.open_object();
   w.key("policy");
@@ -169,13 +184,20 @@ void write_json(const SystemReport& report, std::ostream& out) {
   }
   w.close_array();
   w.close_object();
-  out << "\n";
 }
 
+}  // namespace
+
 std::string to_json(const SystemReport& report) {
-  std::ostringstream out;
-  write_json(report, out);
-  return out.str();
+  JsonWriter w(nullptr);
+  emit_json(report, w);
+  return w.finish();
+}
+
+void write_json(const SystemReport& report, std::ostream& out) {
+  JsonWriter w(&out);
+  emit_json(report, w);
+  (void)w.finish();
 }
 
 void write_json_file(const SystemReport& report, const std::string& path) {

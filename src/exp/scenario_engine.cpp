@@ -1,8 +1,11 @@
 #include "exp/scenario_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -26,14 +29,14 @@ namespace pr {
 namespace {
 
 /// One generated (workload, load, seed) variant, shared by every
-/// policy/epoch/disks cell that references it.
+/// policy/epoch/disks cell that references it and released after the last
+/// of them (see run_scenario).
 struct WorkloadVariant {
-  std::size_t workload_idx = 0;
   double load = 1.0;
   std::uint64_t seed = 0;
   FileSet files;
   /// Materialized requests; empty for kind == "source" (cells re-open the
-  /// stream instead).
+  /// stream instead) and once the variant's last cell has run.
   Trace trace;
   /// Last arrival (fault-plan horizon) — measured during the stats pass
   /// for streaming workloads, so it is valid even when `trace` is empty.
@@ -312,10 +315,99 @@ ScenarioCell run_cell(const ScenarioSpec& spec,
   return cell;
 }
 
+/// Generate one variant: materialize a synthetic day or a `kind = trace`
+/// file, measure a `kind = source` stream without keeping it, or — in fleet
+/// mode — only resolve the synthetic template the shards pull from.
+WorkloadVariant generate_variant(const ScenarioSpec& spec,
+                                 const ScenarioWorkload& w,
+                                 const VariantKey& key) {
+  WorkloadVariant v;
+  v.seed = key.seed;
+  if (w.kind == "trace") {
+    v.trace = trace::open_trace(w.path);
+    v.files = FileSet::from_trace_stats(compute_trace_stats(v.trace));
+    v.load = 1.0;
+    v.horizon = v.trace.empty() ? Seconds{0.0}
+                                : v.trace.requests.back().arrival;
+  } else if (w.kind == "source") {
+    // Streaming stats pass: measure the file universe and the fault
+    // horizon without ever materializing the trace.
+    auto probe = trace::open(w.path, stream_options(w));
+    TraceStatsAccumulator stats;
+    Request r;
+    while (probe->next(r)) stats.add(r);
+    v.files = FileSet::from_trace_stats(stats.finalize());
+    v.load = 1.0;
+    v.horizon = stats.last_arrival();
+  } else {
+    SyntheticWorkloadConfig config = preset_workload_config(w.preset, key.seed);
+    if (w.files) config.file_count = *w.files;
+    if (w.requests) config.request_count = *w.requests;
+    if (w.zipf_alpha) config.zipf_alpha = *w.zipf_alpha;
+    if (w.burstiness) config.burstiness = *w.burstiness;
+    if (w.diurnal_depth) config.diurnal_depth = *w.diurnal_depth;
+    if (key.has_load) config.load_factor = key.load;
+    v.load = config.load_factor;
+    if (spec.fleet.enabled) {
+      // Fleet cells never materialize the fleet-total trace; shards
+      // synthesize their slices on pull inside run_fleet.
+      v.synth = config;
+    } else {
+      auto workload = generate_workload(config);
+      v.files = std::move(workload.files);
+      v.trace = std::move(workload.trace);
+      v.horizon = v.trace.empty() ? Seconds{0.0}
+                                  : v.trace.requests.back().arrival;
+    }
+  }
+  return v;
+}
+
+/// A variant's lifetime inside run_scenario: generated exactly once by
+/// whichever task reaches it first (a failure is kept and rethrown to
+/// every reader), read by its cells, and emptied by the last of them.
+struct VariantSlot {
+  std::once_flag generated;
+  std::exception_ptr error;
+  WorkloadVariant variant;
+  std::atomic<std::size_t> cells_left{0};
+
+  const WorkloadVariant& get(const ScenarioSpec& spec,
+                             const ScenarioWorkload& w,
+                             const VariantKey& key) {
+    std::call_once(generated, [&] {
+      try {
+        variant = generate_variant(spec, w, key);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    });
+    if (error) std::rethrow_exception(error);
+    return variant;
+  }
+
+  /// Called once per finished cell; the last one frees the requests and
+  /// the file universe (the horizon, load and seed stay readable).
+  void cell_done() {
+    if (cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      variant.trace = Trace{};
+      variant.files = FileSet{};
+    }
+  }
+};
+
 }  // namespace
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   validate_scenario(spec);
+
+  // ---- resolve policy factories first (validates names + params before
+  // any workload is generated) -----------------------------------------
+  std::vector<PolicyFactory> factories;
+  factories.reserve(spec.policies.size());
+  for (const ScenarioPolicy& p : spec.policies) {
+    factories.push_back(policies::make(p.name, p.params));
+  }
 
   // Default workload when the spec names none: the paper's light day.
   std::vector<ScenarioWorkload> workloads = spec.workloads;
@@ -343,75 +435,17 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
   }
 
-  ThreadPool pool(spec.threads);
-
-  // ---- generate every variant (indexed writes keep this deterministic
-  // regardless of completion order) -----------------------------------
-  std::vector<WorkloadVariant> variants(variant_keys.size());
-  pool.parallel_for(variant_keys.size(), [&](std::size_t i) {
-    const VariantKey& key = variant_keys[i];
-    const ScenarioWorkload& w = workloads[key.workload_idx];
-    WorkloadVariant v;
-    v.workload_idx = key.workload_idx;
-    v.seed = key.seed;
-    if (w.kind == "trace") {
-      v.trace = trace::open_trace(w.path);
-      v.files = FileSet::from_trace_stats(compute_trace_stats(v.trace));
-      v.load = 1.0;
-      v.horizon = v.trace.empty() ? Seconds{0.0}
-                                  : v.trace.requests.back().arrival;
-    } else if (w.kind == "source") {
-      // Streaming stats pass: measure the file universe and the fault
-      // horizon without ever materializing the trace.
-      auto probe = trace::open(w.path, stream_options(w));
-      TraceStatsAccumulator stats;
-      Request r;
-      while (probe->next(r)) stats.add(r);
-      v.files = FileSet::from_trace_stats(stats.finalize());
-      v.load = 1.0;
-      v.horizon = stats.last_arrival();
-    } else {
-      SyntheticWorkloadConfig config = preset_workload_config(w.preset, key.seed);
-      if (w.files) config.file_count = *w.files;
-      if (w.requests) config.request_count = *w.requests;
-      if (w.zipf_alpha) config.zipf_alpha = *w.zipf_alpha;
-      if (w.burstiness) config.burstiness = *w.burstiness;
-      if (w.diurnal_depth) config.diurnal_depth = *w.diurnal_depth;
-      if (key.has_load) config.load_factor = key.load;
-      v.load = config.load_factor;
-      if (spec.fleet.enabled) {
-        // Fleet cells never materialize the fleet-total trace; shards
-        // synthesize their slices on pull inside run_fleet.
-        v.synth = config;
-      } else {
-        auto workload = generate_workload(config);
-        v.files = std::move(workload.files);
-        v.trace = std::move(workload.trace);
-        v.horizon = v.trace.empty() ? Seconds{0.0}
-                                    : v.trace.requests.back().arrival;
-      }
-    }
-    variants[i] = std::move(v);
-  });
-
-  // ---- resolve policy factories once (validates names + params before
-  // any simulation time is spent) --------------------------------------
-  std::vector<PolicyFactory> factories;
-  factories.reserve(spec.policies.size());
-  for (const ScenarioPolicy& p : spec.policies) {
-    factories.push_back(policies::make(p.name, p.params));
-  }
-
   // ---- enumerate cells in spec order: policy-major, then workload/
   // load/seed (variant order), then epoch, then disks, then fault rate
   // scale (a degenerate single-pass axis when no [fault] section) -------
   const std::size_t scale_count =
       spec.fault.enabled ? spec.fault.rate_scales.size() : 1;
+  const std::size_t per_variant =
+      spec.epochs.size() * spec.disks.size() * scale_count;
   std::vector<CellSpec> cell_specs;
-  cell_specs.reserve(spec.policies.size() * variants.size() *
-                     spec.epochs.size() * spec.disks.size() * scale_count);
+  cell_specs.reserve(spec.policies.size() * variant_keys.size() * per_variant);
   for (std::size_t pi = 0; pi < spec.policies.size(); ++pi) {
-    for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+    for (std::size_t vi = 0; vi < variant_keys.size(); ++vi) {
       for (const double epoch_s : spec.epochs) {
         for (const std::size_t disks : spec.disks) {
           for (std::size_t si = 0; si < scale_count; ++si) {
@@ -422,17 +456,75 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
   }
 
+  // ---- run variant-major, one variant of lookahead ---------------------
+  // The pool's queue is FIFO, so the task list is the start order:
+  // generate 0, generate 1, cells of 0, generate 2, cells of 1, ...
+  // Each variant is generated once, one variant ahead of its cells, and
+  // released by its last cell, so the grid holds a few variants (about one
+  // per worker) instead of all of them. A cell that reaches its variant
+  // before the generator finishes waits on that running generator, which
+  // was dequeued before the cell; no task waits on one still queued.
+  // result.cells keeps the spec order above.
+  struct Task {
+    bool generate;
+    std::size_t index;  // variant index, or cell index into cell_specs
+  };
+  const std::size_t variant_count = variant_keys.size();
+  std::vector<Task> tasks;
+  tasks.reserve(variant_count + cell_specs.size());
+  const auto push_cells = [&](std::size_t vi) {
+    for (std::size_t pi = 0; pi < spec.policies.size(); ++pi) {
+      const std::size_t first = (pi * variant_count + vi) * per_variant;
+      for (std::size_t k = 0; k < per_variant; ++k) {
+        tasks.push_back({false, first + k});
+      }
+    }
+  };
+  for (std::size_t vi = 0; vi < variant_count; ++vi) {
+    tasks.push_back({true, vi});
+    if (vi > 0) push_cells(vi - 1);
+  }
+  if (variant_count > 0) push_cells(variant_count - 1);
+
+  std::vector<VariantSlot> slots(variant_count);
+  for (VariantSlot& slot : slots) {
+    slot.cells_left.store(spec.policies.size() * per_variant,
+                          std::memory_order_relaxed);
+  }
+
   ScenarioResult result;
   result.scenario = spec.name;
   result.faulted = spec.fault.enabled;
   result.redundant = spec.redundancy.enabled;
   result.controlled = spec.control.enabled;
   result.cells.resize(cell_specs.size());
-  pool.parallel_for(cell_specs.size(), [&](std::size_t i) {
-    const CellSpec& cs = cell_specs[i];
-    const WorkloadVariant& variant = variants[cs.variant_idx];
-    result.cells[i] = run_cell(spec, workloads[variant.workload_idx], variant,
-                               factories[cs.policy_idx], cs);
+  // A failed task skips every task queued after it, but not those before
+  // it, so the error the pool rethrows (the first in task order) does not
+  // depend on timing.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::atomic<std::size_t> first_failed{kNone};
+  ThreadPool pool(spec.threads);
+  pool.parallel_for(tasks.size(), [&](std::size_t t) {
+    if (t > first_failed.load(std::memory_order_relaxed)) return;
+    try {
+      const Task& task = tasks[t];
+      const std::size_t vi =
+          task.generate ? task.index : cell_specs[task.index].variant_idx;
+      const VariantKey& key = variant_keys[vi];
+      const ScenarioWorkload& workload = workloads[key.workload_idx];
+      const WorkloadVariant& variant = slots[vi].get(spec, workload, key);
+      if (task.generate) return;
+      const CellSpec& cs = cell_specs[task.index];
+      result.cells[task.index] =
+          run_cell(spec, workload, variant, factories[cs.policy_idx], cs);
+      slots[vi].cell_done();
+    } catch (...) {
+      std::size_t seen = first_failed.load(std::memory_order_relaxed);
+      while (t < seen && !first_failed.compare_exchange_weak(
+                             seen, t, std::memory_order_relaxed)) {
+      }
+      throw;
+    }
   });
 #if PR_CONTRACTS_ENABLED
   // Every cell slot must have been filled by exactly the worker that owns

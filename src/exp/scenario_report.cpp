@@ -1,9 +1,9 @@
 #include "exp/scenario_report.h"
 
 #include <fstream>
-#include <locale>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/report_io.h"
 #include "util/csv.h"
@@ -18,6 +18,112 @@ namespace {
 /// through the locale-independent util formatter so a host application's
 /// global locale can never change the CSV bytes.
 std::string full(double v) { return format_double(v, 17); }
+
+void append_json_string(std::string& out, std::string_view text) {
+  out += '"';
+  out += json_escape(text);
+  out += '"';
+}
+
+/// `,"key":value` — a non-first member of a JSON object.
+void field(std::string& out, std::string_view key, double v) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  append_double(out, v, 17);
+}
+void field(std::string& out, std::string_view key, std::uint64_t v) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  append_uint(out, v);
+}
+
+/// The scenario JSON, appended to `out` through util/fmt.h like the report
+/// JSON (no locale reaches a byte, no caller stream is imbued). `flush`
+/// is handed `out` after the header and after each cell.
+template <typename Flush>
+void emit_scenario_json(const ScenarioResult& result, bool include_reports,
+                        std::string& out, Flush flush) {
+  out += "{\"scenario\":";
+  append_json_string(out, result.scenario);
+  out += ",\"cells\":[";
+  flush(out);
+  bool first = true;
+  for (const ScenarioCell& c : result.cells) {
+    if (!first) out += ',';
+    first = false;
+    const SimResult& sim = c.report.sim;
+    out += "{\"policy\":";
+    append_json_string(out, c.policy);
+    out += ",\"workload\":";
+    append_json_string(out, c.workload);
+    field(out, "load", c.load);
+    field(out, "seed", c.seed);
+    field(out, "epoch_s", c.epoch_s);
+    field(out, "disks", static_cast<std::uint64_t>(c.disks));
+    field(out, "array_afr", c.report.array_afr);
+    field(out, "energy_joules", sim.energy_joules());
+    field(out, "mean_response_time_s", sim.mean_response_time_s());
+    field(out, "total_transitions", sim.total_transitions);
+    field(out, "max_transitions_per_day", sim.max_transitions_per_day);
+    field(out, "migrations", sim.migrations);
+    if (c.fault) {
+      const ScenarioFaultCell& f = *c.fault;
+      out += ",\"fault\":{\"rate_scale\":";
+      append_double(out, f.rate_scale, 17);
+      field(out, "injected_afr", f.injected_afr);
+      field(out, "failures", f.failures);
+      field(out, "lost", f.lost_requests);
+      field(out, "degraded", f.degraded_requests);
+      field(out, "downtime_s", f.downtime_s);
+      field(out, "degraded_window_s", f.degraded_window_s);
+      field(out, "mean_recovery_s", f.mean_recovery_s);
+      field(out, "observed_afr", f.observed_afr);
+      field(out, "press_over_injected", f.press_over_injected);
+      field(out, "press_over_observed", f.press_over_observed);
+      out += '}';
+    }
+    if (c.redundancy) {
+      const ScenarioRedundancyCell& r = *c.redundancy;
+      out += ",\"redundancy\":{\"scheme\":";
+      append_json_string(out, r.scheme);
+      field(out, "reconstructed", r.reconstructed_requests);
+      field(out, "data_loss_events", r.data_loss_events);
+      field(out, "rebuilds_started", r.rebuilds_started);
+      field(out, "rebuilds_completed", r.rebuilds_completed);
+      field(out, "mean_rebuild_s", r.mean_rebuild_s);
+      field(out, "mttdl_hours", r.predicted_mttdl_hours);
+      field(out, "predicted_losses_per_year", r.predicted_losses_per_year);
+      field(out, "observed_losses_per_year", r.observed_losses_per_year);
+      field(out, "loss_over_predicted", r.observed_over_predicted);
+      out += '}';
+    }
+    if (c.control) {
+      const ScenarioControlCell& k = *c.control;
+      out += ",\"control\":{\"updates\":";
+      append_uint(out, k.updates);
+      field(out, "shed", k.shed_requests);
+      field(out, "h_scaled", k.h_scaled);
+      field(out, "hot_grows", k.hot_grows);
+      field(out, "hot_shrinks", k.hot_shrinks);
+      field(out, "epoch_scaled", k.epoch_scaled);
+      out += '}';
+    }
+    if (include_reports) {
+      // pr::to_json emits a complete JSON object (plus a trailing
+      // newline, stripped here) — splice it in verbatim.
+      std::string report = pr::to_json(c.report);
+      while (!report.empty() && report.back() == '\n') report.pop_back();
+      out += ",\"report\":";
+      out += report;
+    }
+    out += '}';
+    flush(out);
+  }
+  out += "]}\n";
+  flush(out);
+}
 
 }  // namespace
 
@@ -123,73 +229,12 @@ void write_scenario_csv_file(const ScenarioResult& result,
 
 void write_scenario_json(const ScenarioResult& result, std::ostream& out,
                          bool include_reports) {
-  // Floats are pre-formatted by full(); the classic locale keeps the
-  // integer fields free of grouping separators under any global locale.
-  out.imbue(std::locale::classic());
-  out << "{\"scenario\":\"" << json_escape(result.scenario)
-      << "\",\"cells\":[";
-  bool first = true;
-  for (const ScenarioCell& c : result.cells) {
-    if (!first) out << ",";
-    first = false;
-    const SimResult& sim = c.report.sim;
-    out << "{\"policy\":\"" << json_escape(c.policy) << "\",\"workload\":\""
-        << json_escape(c.workload) << "\",\"load\":" << full(c.load)
-        << ",\"seed\":" << c.seed << ",\"epoch_s\":" << full(c.epoch_s)
-        << ",\"disks\":" << c.disks
-        << ",\"array_afr\":" << full(c.report.array_afr)
-        << ",\"energy_joules\":" << full(sim.energy_joules())
-        << ",\"mean_response_time_s\":" << full(sim.mean_response_time_s())
-        << ",\"total_transitions\":" << sim.total_transitions
-        << ",\"max_transitions_per_day\":" << full(sim.max_transitions_per_day)
-        << ",\"migrations\":" << sim.migrations;
-    if (c.fault) {
-      const ScenarioFaultCell& f = *c.fault;
-      out << ",\"fault\":{\"rate_scale\":" << full(f.rate_scale)
-          << ",\"injected_afr\":" << full(f.injected_afr)
-          << ",\"failures\":" << f.failures << ",\"lost\":" << f.lost_requests
-          << ",\"degraded\":" << f.degraded_requests
-          << ",\"downtime_s\":" << full(f.downtime_s)
-          << ",\"degraded_window_s\":" << full(f.degraded_window_s)
-          << ",\"mean_recovery_s\":" << full(f.mean_recovery_s)
-          << ",\"observed_afr\":" << full(f.observed_afr)
-          << ",\"press_over_injected\":" << full(f.press_over_injected)
-          << ",\"press_over_observed\":" << full(f.press_over_observed) << "}";
-    }
-    if (c.redundancy) {
-      const ScenarioRedundancyCell& r = *c.redundancy;
-      out << ",\"redundancy\":{\"scheme\":\"" << json_escape(r.scheme)
-          << "\",\"reconstructed\":" << r.reconstructed_requests
-          << ",\"data_loss_events\":" << r.data_loss_events
-          << ",\"rebuilds_started\":" << r.rebuilds_started
-          << ",\"rebuilds_completed\":" << r.rebuilds_completed
-          << ",\"mean_rebuild_s\":" << full(r.mean_rebuild_s)
-          << ",\"mttdl_hours\":" << full(r.predicted_mttdl_hours)
-          << ",\"predicted_losses_per_year\":"
-          << full(r.predicted_losses_per_year)
-          << ",\"observed_losses_per_year\":"
-          << full(r.observed_losses_per_year)
-          << ",\"loss_over_predicted\":" << full(r.observed_over_predicted)
-          << "}";
-    }
-    if (c.control) {
-      const ScenarioControlCell& k = *c.control;
-      out << ",\"control\":{\"updates\":" << k.updates
-          << ",\"shed\":" << k.shed_requests << ",\"h_scaled\":" << k.h_scaled
-          << ",\"hot_grows\":" << k.hot_grows
-          << ",\"hot_shrinks\":" << k.hot_shrinks
-          << ",\"epoch_scaled\":" << k.epoch_scaled << "}";
-    }
-    if (include_reports) {
-      // pr::to_json emits a complete JSON object (plus a trailing
-      // newline, stripped here) — splice it in verbatim.
-      std::string report = pr::to_json(c.report);
-      while (!report.empty() && report.back() == '\n') report.pop_back();
-      out << ",\"report\":" << report;
-    }
-    out << "}";
-  }
-  out << "]}\n";
+  // One cell at a time: a grid's JSON never sits in memory whole.
+  std::string text;
+  emit_scenario_json(result, include_reports, text, [&out](std::string& t) {
+    out.write(t.data(), static_cast<std::streamsize>(t.size()));
+    t.clear();
+  });
 }
 
 void write_scenario_json_file(const ScenarioResult& result,
@@ -205,9 +250,9 @@ void write_scenario_json_file(const ScenarioResult& result,
 }
 
 std::string to_json(const ScenarioResult& result, bool include_reports) {
-  std::ostringstream out;
-  write_scenario_json(result, out, include_reports);
-  return out.str();
+  std::string json;
+  emit_scenario_json(result, include_reports, json, [](std::string&) {});
+  return json;
 }
 
 }  // namespace pr

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <locale>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -395,6 +396,101 @@ TEST(ScenarioReport, CsvSchema) {
   std::size_t lines = 0;
   for (const char ch : text) lines += ch == '\n';
   EXPECT_EQ(lines, 1u + result.cells.size());
+}
+
+/// A German-style numpunct: 1234567.5 prints as "1.234.567,5".
+class GroupingPunct final : public std::numpunct<char> {
+ protected:
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(ScenarioReport, JsonBytesIgnoreAndKeepTheCallersLocale) {
+  ScenarioResult result;
+  result.scenario = "locale";
+  ScenarioCell cell;
+  cell.policy = "READ";
+  cell.workload = "day";
+  cell.load = 1.5;
+  cell.seed = 1'048'576;
+  cell.epoch_s = 3'600.5;
+  cell.disks = 1'024;
+  cell.report.array_afr = 0.125;
+  cell.report.sim.total_energy = Joules{2'500'000.25};
+  cell.report.sim.response_time.add(0.5);
+  cell.report.sim.total_transitions = 12'345;
+  cell.report.sim.max_transitions_per_day = 1'234.5;
+  cell.report.sim.migrations = 4'096;
+  ScenarioFaultCell fault;
+  fault.rate_scale = 2'000'000.0;
+  fault.injected_afr = 160'000.0;
+  fault.failures = 1'000;
+  fault.lost_requests = 65'536;
+  fault.degraded_requests = 131'072;
+  fault.downtime_s = 7'200.5;
+  fault.degraded_window_s = 3'600.25;
+  fault.mean_recovery_s = 1'800.5;
+  fault.observed_afr = 12'345.5;
+  fault.press_over_injected = 0.5;
+  fault.press_over_observed = 0.25;
+  cell.fault = fault;
+  ScenarioRedundancyCell redundancy;
+  redundancy.scheme = "raid5";
+  redundancy.reconstructed_requests = 262'144;
+  redundancy.data_loss_events = 1'001;
+  redundancy.rebuilds_started = 2'002;
+  redundancy.rebuilds_completed = 2'000;
+  redundancy.mean_rebuild_s = 1'000.5;
+  redundancy.predicted_mttdl_hours = 87'600.5;
+  redundancy.predicted_losses_per_year = 0.1;
+  redundancy.observed_losses_per_year = 1'234.5;
+  redundancy.observed_over_predicted = 12'345.0;
+  cell.redundancy = redundancy;
+  ScenarioControlCell control;
+  control.updates = 1'440;
+  control.shed_requests = 10'000;
+  control.h_scaled = 1'001;
+  control.hot_grows = 1'002;
+  control.hot_shrinks = 1'003;
+  control.epoch_scaled = 1'004;
+  cell.control = control;
+  result.cells.push_back(cell);
+  result.faulted = result.redundant = result.controlled = true;
+
+  const std::string classic =
+      R"({"scenario":"locale","cells":[{"policy":"READ","workload":"day",)"
+      R"("load":1.5,"seed":1048576,"epoch_s":3600.5,"disks":1024,)"
+      R"("array_afr":0.125,"energy_joules":2500000.25,)"
+      R"("mean_response_time_s":0.5,"total_transitions":12345,)"
+      R"("max_transitions_per_day":1234.5,"migrations":4096,)"
+      R"("fault":{"rate_scale":2000000,"injected_afr":160000,)"
+      R"("failures":1000,"lost":65536,"degraded":131072,)"
+      R"("downtime_s":7200.5,"degraded_window_s":3600.25,)"
+      R"("mean_recovery_s":1800.5,"observed_afr":12345.5,)"
+      R"("press_over_injected":0.5,"press_over_observed":0.25},)"
+      R"("redundancy":{"scheme":"raid5","reconstructed":262144,)"
+      R"("data_loss_events":1001,"rebuilds_started":2002,)"
+      R"("rebuilds_completed":2000,"mean_rebuild_s":1000.5,)"
+      R"("mttdl_hours":87600.5,)"
+      R"("predicted_losses_per_year":0.10000000000000001,)"
+      R"("observed_losses_per_year":1234.5,"loss_over_predicted":12345},)"
+      R"("control":{"updates":1440,"shed":10000,"h_scaled":1001,)"
+      R"("hot_grows":1002,"hot_shrinks":1003,"epoch_scaled":1004}}]})"
+      "\n";
+  EXPECT_EQ(to_json(result, /*include_reports=*/false), classic);
+
+  const std::locale grouping(std::locale::classic(), new GroupingPunct);
+  const std::locale previous = std::locale::global(grouping);
+  std::ostringstream out;  // picks up the global locale
+  const std::locale before = out.getloc();
+  write_scenario_json(result, out, /*include_reports=*/false);
+  const bool kept = out.getloc() == before;
+  std::locale::global(previous);
+  EXPECT_TRUE(kept) << "write_scenario_json changed the caller's stream locale";
+  EXPECT_EQ(std::use_facet<std::numpunct<char>>(out.getloc()).thousands_sep(),
+            '.');
+  EXPECT_EQ(out.str(), classic);
 }
 
 }  // namespace
