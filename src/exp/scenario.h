@@ -192,8 +192,9 @@ struct ScenarioControl {
 
 struct ScenarioSpec {
   std::string name = "scenario";
-  /// Worker threads for the sweep (0 = hardware concurrency). Never
-  /// affects results — cell ordering is deterministic by construction.
+  /// Cell worker threads for the sweep (0 = hardware concurrency); the
+  /// calling thread generates the workload variants. Never affects
+  /// results — cell ordering is deterministic by construction.
   unsigned threads = 0;
   /// Workload seeds; a sweep axis (trace workloads ignore it).
   std::vector<std::uint64_t> seeds = {42};

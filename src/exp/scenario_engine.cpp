@@ -1,11 +1,10 @@
 #include "exp/scenario_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <exception>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -137,7 +136,6 @@ ScenarioRedundancyCell score_redundancy_cell(const ScenarioSpec& spec,
 /// One cell of the grid: its position on every sweep axis.
 struct CellSpec {
   std::size_t policy_idx;
-  std::size_t variant_idx;
   double epoch_s;
   std::size_t disks;
   std::size_t scale_idx;
@@ -363,39 +361,6 @@ WorkloadVariant generate_variant(const ScenarioSpec& spec,
   return v;
 }
 
-/// A variant's lifetime inside run_scenario: generated exactly once by
-/// whichever task reaches it first (a failure is kept and rethrown to
-/// every reader), read by its cells, and emptied by the last of them.
-struct VariantSlot {
-  std::once_flag generated;
-  std::exception_ptr error;
-  WorkloadVariant variant;
-  std::atomic<std::size_t> cells_left{0};
-
-  const WorkloadVariant& get(const ScenarioSpec& spec,
-                             const ScenarioWorkload& w,
-                             const VariantKey& key) {
-    std::call_once(generated, [&] {
-      try {
-        variant = generate_variant(spec, w, key);
-      } catch (...) {
-        error = std::current_exception();
-      }
-    });
-    if (error) std::rethrow_exception(error);
-    return variant;
-  }
-
-  /// Called once per finished cell; the last one frees the requests and
-  /// the file universe (the horizon, load and seed stay readable).
-  void cell_done() {
-    if (cells_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      variant.trace = Trace{};
-      variant.files = FileSet{};
-    }
-  }
-};
-
 }  // namespace
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
@@ -449,83 +414,83 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
       for (const double epoch_s : spec.epochs) {
         for (const std::size_t disks : spec.disks) {
           for (std::size_t si = 0; si < scale_count; ++si) {
-            cell_specs.push_back({pi, vi, epoch_s, disks, si});
+            cell_specs.push_back({pi, epoch_s, disks, si});
           }
         }
       }
     }
   }
 
-  // ---- run variant-major, one variant of lookahead ---------------------
-  // The pool's queue is FIFO, so the task list is the start order:
-  // generate 0, generate 1, cells of 0, generate 2, cells of 1, ...
-  // Each variant is generated once, one variant ahead of its cells, and
-  // released by its last cell, so the grid holds a few variants (about one
-  // per worker) instead of all of them. A cell that reaches its variant
-  // before the generator finishes waits on that running generator, which
-  // was dequeued before the cell; no task waits on one still queued.
-  // result.cells keeps the spec order above.
-  struct Task {
-    bool generate;
-    std::size_t index;  // variant index, or cell index into cell_specs
-  };
+  // ---- run the variants in order: this thread generates, the pool runs
+  // cells. Variant k's cells are submitted as soon as it is generated;
+  // before generating k this thread waits for the cells of k - W and frees
+  // that variant's requests and file set itself, so at most W variants
+  // are live. W = 1 + ceil(workers / cells per variant) keeps every worker
+  // busy while the next variant is generated. Allocating and freeing every
+  // variant on one thread also lets the next variant reuse the memory of
+  // the last (a block freed on a worker goes back to that worker's malloc
+  // arena). result.cells keeps the spec order above.
   const std::size_t variant_count = variant_keys.size();
-  std::vector<Task> tasks;
-  tasks.reserve(variant_count + cell_specs.size());
-  const auto push_cells = [&](std::size_t vi) {
-    for (std::size_t pi = 0; pi < spec.policies.size(); ++pi) {
-      const std::size_t first = (pi * variant_count + vi) * per_variant;
-      for (std::size_t k = 0; k < per_variant; ++k) {
-        tasks.push_back({false, first + k});
-      }
-    }
-  };
-  for (std::size_t vi = 0; vi < variant_count; ++vi) {
-    tasks.push_back({true, vi});
-    if (vi > 0) push_cells(vi - 1);
-  }
-  if (variant_count > 0) push_cells(variant_count - 1);
-
-  std::vector<VariantSlot> slots(variant_count);
-  for (VariantSlot& slot : slots) {
-    slot.cells_left.store(spec.policies.size() * per_variant,
-                          std::memory_order_relaxed);
-  }
-
+  const std::size_t cells_per_variant = spec.policies.size() * per_variant;
   ScenarioResult result;
   result.scenario = spec.name;
   result.faulted = spec.fault.enabled;
   result.redundant = spec.redundancy.enabled;
   result.controlled = spec.control.enabled;
   result.cells.resize(cell_specs.size());
-  // A failed task skips every task queued after it, but not those before
-  // it, so the error the pool rethrows (the first in task order) does not
-  // depend on timing.
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::atomic<std::size_t> first_failed{kNone};
+  std::vector<WorkloadVariant> variants(variant_count);
+  std::vector<std::vector<std::future<void>>> futures(variant_count);
+  // Declared after everything its cells read: on an exception the pool's
+  // destructor still runs the cells already queued.
   ThreadPool pool(spec.threads);
-  pool.parallel_for(tasks.size(), [&](std::size_t t) {
-    if (t > first_failed.load(std::memory_order_relaxed)) return;
-    try {
-      const Task& task = tasks[t];
-      const std::size_t vi =
-          task.generate ? task.index : cell_specs[task.index].variant_idx;
-      const VariantKey& key = variant_keys[vi];
-      const ScenarioWorkload& workload = workloads[key.workload_idx];
-      const WorkloadVariant& variant = slots[vi].get(spec, workload, key);
-      if (task.generate) return;
-      const CellSpec& cs = cell_specs[task.index];
-      result.cells[task.index] =
-          run_cell(spec, workload, variant, factories[cs.policy_idx], cs);
-      slots[vi].cell_done();
-    } catch (...) {
-      std::size_t seen = first_failed.load(std::memory_order_relaxed);
-      while (t < seen && !first_failed.compare_exchange_weak(
-                             seen, t, std::memory_order_relaxed)) {
+  const std::size_t window =
+      1 + (pool.size() + cells_per_variant - 1) / cells_per_variant;
+
+  // A failure stops generation. The error rethrown is the first in the
+  // order gen 0, gen 1, cells of 0, gen 2, cells of 1, ...: a failed
+  // generation of k outranks the cells of k - 1 but not those of k - 2.
+  std::exception_ptr error;
+  std::size_t collected = 0;
+  const auto collect_until = [&](std::size_t end) {
+    for (; collected < end; ++collected) {
+      for (std::future<void>& f : futures[collected]) {
+        try {
+          f.get();
+        } catch (...) {
+          if (!error) error = std::current_exception();
+        }
       }
-      throw;
+      variants[collected].trace = Trace{};
+      variants[collected].files = FileSet{};
     }
-  });
+  };
+  std::size_t vi = 0;
+  for (; vi < variant_count; ++vi) {
+    if (vi >= window) collect_until(vi - window + 1);
+    if (error) break;
+    const ScenarioWorkload* workload =
+        &workloads[variant_keys[vi].workload_idx];
+    try {
+      variants[vi] = generate_variant(spec, *workload, variant_keys[vi]);
+    } catch (...) {
+      if (vi > 0) collect_until(vi - 1);
+      if (!error) error = std::current_exception();
+      break;
+    }
+    futures[vi].reserve(cells_per_variant);
+    for (std::size_t pi = 0; pi < spec.policies.size(); ++pi) {
+      const std::size_t first = (pi * variant_count + vi) * per_variant;
+      for (std::size_t ci = first; ci < first + per_variant; ++ci) {
+        futures[vi].push_back(pool.submit([&, workload, ci, vi] {
+          const CellSpec& cs = cell_specs[ci];
+          result.cells[ci] = run_cell(spec, *workload, variants[vi],
+                                      factories[cs.policy_idx], cs);
+        }));
+      }
+    }
+  }
+  collect_until(vi);
+  if (error) std::rethrow_exception(error);
 #if PR_CONTRACTS_ENABLED
   // Every cell slot must have been filled by exactly the worker that owns
   // its index — an empty policy label means a task died without writing.

@@ -1,8 +1,10 @@
 // scenario_engine.h — expands a ScenarioSpec into concrete cells
 // (policy × workload × load × seed × epoch × disks × fault rate scale)
-// and fans them across the thread pool. It is the one sweep driver: each
-// (workload, load, seed) variant is generated once and shared by every
-// policy/epoch/disk cell, and results come back in *spec order* —
+// and fans them across the thread pool. It is the one sweep driver: the
+// calling thread generates each (workload, load, seed) variant once, in
+// order, and the pool's `threads` workers run the policy/epoch/disk
+// cells that share it; at most 1 + ceil(workers / cells per variant)
+// variants are live at a time. Results come back in *spec order* —
 // policy-major, then workload, load, seed, epoch, disks — regardless of
 // thread count, so serialized output is byte-identical for threads = 1
 // and threads = N.
@@ -104,10 +106,10 @@ struct ScenarioResult {
   std::vector<ScenarioCell> cells;  ///< spec order (policy-major)
 };
 
-/// Validate `spec`, generate its workload variants, run every cell through
-/// the ThreadPool and return deterministically ordered results. Throws
-/// std::invalid_argument for spec problems and propagates workload/trace
-/// I/O errors.
+/// Validate `spec`, generate its workload variants on the calling thread,
+/// run every cell through the ThreadPool and return deterministically
+/// ordered results. Throws std::invalid_argument for spec problems and
+/// propagates workload/trace I/O errors.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 }  // namespace pr

@@ -58,20 +58,4 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Map fn over [0, n) collecting results in order. Convenience wrapper used
-/// by the experiment runner.
-template <typename R>
-std::vector<R> parallel_map(ThreadPool& pool, std::size_t n,
-                            const std::function<R(std::size_t)>& fn) {
-  std::vector<std::future<R>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(pool.submit([i, &fn] { return fn(i); }));
-  }
-  std::vector<R> results;
-  results.reserve(n);
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
-}
-
 }  // namespace pr

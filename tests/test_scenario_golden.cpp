@@ -264,6 +264,31 @@ TEST(ScenarioGolden, MissingTraceFileThrowsTheReadersError) {
   }
 }
 
+// With two missing `kind = trace` files behind a synthetic workload, the
+// error is the first file's at every thread count: generation stops at
+// the first failure, whatever the workers are running.
+TEST(ScenarioGolden, FirstMissingTraceFileWinsAtAnyThreadCount) {
+  const std::string first = testing::TempDir() + "no_such_trace_a.csv";
+  const std::string second = testing::TempDir() + "no_such_trace_b.csv";
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ScenarioSpec spec = multi_variant_spec(first, threads);
+    ScenarioWorkload missing = spec.workloads.back();
+    missing.name = "missing";
+    missing.path = second;
+    spec.workloads.push_back(missing);
+    try {
+      (void)run_scenario(spec);
+      ADD_FAILURE() << "threads " << threads << ": missing files must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "read_csv_trace_file: cannot open " + first)
+          << "threads " << threads;
+    }
+  }
+}
+
 // A cell built from registry knobs must equal a direct session run with
 // the equivalent hand-built config struct — i.e. the ParamMap really reaches
 // the policy's config fields.

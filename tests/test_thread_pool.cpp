@@ -48,16 +48,6 @@ TEST(ThreadPool, ParallelForRethrowsFirstError) {
                std::logic_error);
 }
 
-TEST(ThreadPool, ParallelMapPreservesOrder) {
-  ThreadPool pool(3);
-  const auto result = parallel_map<int>(
-      pool, 50, [](std::size_t i) { return static_cast<int>(i * i); });
-  ASSERT_EQ(result.size(), 50u);
-  for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(result[i], static_cast<int>(i * i));
-  }
-}
-
 TEST(ThreadPool, ManyTasksComplete) {
   ThreadPool pool(4);
   std::atomic<long> sum{0};
